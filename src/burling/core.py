@@ -28,7 +28,9 @@ can keep growing:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ContractError, InputError
 from .graph import Graph
@@ -60,13 +62,71 @@ class BurlingSet:
 
     def ordered(self) -> list:
         """Element ids sorted ascending; the canonical iteration order."""
-        return sorted(self.elements)
+        return list(self._order)
 
     def __repr__(self) -> str:
         return (
             f"BurlingSet({len(self.elements)} elements, "
             f"{len(self.prec)} prec, {len(self.adj)} adj)"
         )
+
+    # The relation index: structures derived from the relations, each built
+    # on first use and kept for the life of the immutable set.  Maps come in
+    # (out, in) pairs, x -> {y : x R y} and y -> {x : x R y}, for R = prec,
+    # adj and their union; callers must not modify the sets.  Nothing here
+    # assumes the axioms.
+
+    @cached_property
+    def _order(self) -> tuple:
+        return tuple(sorted(self.elements))
+
+    @cached_property
+    def _prec_maps(self) -> tuple:
+        return _maps(self.elements, self.prec)
+
+    @cached_property
+    def _adj_maps(self) -> tuple:
+        return _maps(self.elements, self.adj)
+
+    @cached_property
+    def _rel_maps(self) -> tuple:
+        return _maps(self.elements, self.prec | self.adj)
+
+    @cached_property
+    def _topo(self):
+        """The smallest-id-first topological order of prec ∪ adj, or None
+        when the combined relation has a cycle."""
+        return _topo_sort(self._order, self._rel_maps[0])
+
+
+def _maps(elements, pairs) -> tuple:
+    out = {x: set() for x in elements}
+    inc = {x: set() for x in elements}
+    for x, y in pairs:
+        out[x].add(y)
+        inc[y].add(x)
+    return out, inc
+
+
+def _topo_sort(nodes, succ):
+    """Kahn's sort of the digraph x -> succ[x] over nodes, which succ must
+    not leave.  The smallest ready node goes first, so the order is unique.
+    Returns a tuple, or None when the digraph has a cycle."""
+    indeg = dict.fromkeys(nodes, 0)
+    for x in indeg:
+        for y in succ[x]:
+            indeg[y] += 1
+    heap = [x for x, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        x = heapq.heappop(heap)
+        order.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(heap, y)
+    return tuple(order) if len(order) == len(indeg) else None
 
 
 def _check_pairs(pairs, elements, label):
@@ -103,15 +163,6 @@ class VerificationReport:
             f"{v.check}: {', '.join(str(w) for w in v.witness)}"
             for v in self.violations
         ]
-
-
-def _relation_maps(elements, pairs):
-    out = {x: set() for x in elements}
-    inc = {x: set() for x in elements}
-    for x, y in pairs:
-        out[x].add(y)
-        inc[y].add(x)
-    return out, inc
 
 
 def _find_cycle(elements_sorted, out):
@@ -161,9 +212,12 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
     Intended for untrusted input, so nothing is assumed: transitivity of prec
     is checked explicitly rather than trusted.
     """
-    elems = b.ordered()
-    out_prec, in_prec = _relation_maps(b.elements, b.prec)
-    out_adj, in_adj = _relation_maps(b.elements, b.adj)
+    # The maps are not cached on the set: every set that is loaded, generated
+    # or extracted is verified once, and the many kept afterwards would
+    # carry maps several times their own size.
+    elems = b._order
+    out_prec, in_prec = _maps(b.elements, b.prec)
+    out_adj, _ = _maps(b.elements, b.adj)
     prec = b.prec
     viols = []
 
@@ -222,15 +276,11 @@ class ElementClassification:
 
 def classify_elements(b: BurlingSet) -> ElementClassification:
     """Roots, probes, and exposed elements of a Burling set."""
-    out_prec, in_prec = _relation_maps(b.elements, b.prec)
-    out_adj, in_adj = _relation_maps(b.elements, b.adj)
-    roots = frozenset(
-        x for x in b.elements if not out_prec[x] and not out_adj[x]
-    )
-    probes = frozenset(
-        x for x in b.elements if not out_prec[x] and not in_prec[x] and not in_adj[x]
-    )
-    exposed = frozenset(x for x in b.elements if not out_prec[x])
+    # Only the sources and targets of pairs matter, so no relation map is
+    # built or cached: gen_burling classifies every set it grows through.
+    exposed = b.elements - {x for x, _ in b.prec}
+    roots = exposed - {x for x, _ in b.adj}
+    probes = exposed - {y for _, y in b.prec} - {y for _, y in b.adj}
     return ElementClassification(roots, probes, exposed)
 
 
@@ -312,7 +362,7 @@ def inner_join(b1: BurlingSet, b2: BurlingSet, s2_prime) -> BurlingSet:
     bad = sorted(q_set - p2)
     if bad:
         raise ContractError(f"shared elements must be probes of the second set: {bad!r}")
-    out_adj2, _ = _relation_maps(b2.elements, b2.adj)
+    out_adj2, _ = _maps(b2.elements, b2.adj)
     for q in sorted(q_set):
         if frozenset(out_adj2[q]) != s2p:
             raise ContractError(

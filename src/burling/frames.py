@@ -13,19 +13,21 @@ build_frames realizes a Burling set as such a family with integer
 coordinates 1..2|S| per axis.  Horizontal coordinates come from a
 topological sort of a constraint system over the symbols l_x, r_x; vertical
 coordinates are DFS enter/exit times on the parent forest of the combined
-relation.  extract_burling inverts the construction for any strict family.
+relation.  Both read the relation maps and the topological order from the
+set's relation index (see core.BurlingSet), and the horizontal system is
+sorted by the same smallest-first Kahn sort.  extract_burling inverts the
+construction for any strict family.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .core import (
     BurlingSet,
     VerificationReport,
     Violation,
-    _relation_maps,
+    _topo_sort,
     verify_axioms,
 )
 from .errors import ContractError, InputError
@@ -203,25 +205,20 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
     prec-maximal crossing, which the others follow from; the constraint
     count is then linear in |S| plus the relation size.
     """
-    order = b.ordered()
+    order = b._order
     idx = {x: i for i, x in enumerate(order)}
-    rel = b.prec | b.adj
+    _, in_rel = b._rel_maps
+    out_adj, _ = b._adj_maps
     cons = set()
     for i in range(len(order)):
         cons.add((2 * i, 2 * i + 1))
-    for a, c in rel:
+    for a, c in b.prec | b.adj:
         cons.add((2 * idx[c], 2 * idx[a]))  # l_c < l_a since a rel c
         cons.add((2 * idx[a], 2 * idx[c] + 1))  # l_a < r_c
     for a, c in b.prec:
         cons.add((2 * idx[a] + 1, 2 * idx[c] + 1))
     for a, c in b.adj:
         cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
-    in_rel = {x: [] for x in order}
-    for a, c in rel:
-        in_rel[c].append(a)
-    out_adj = {x: [] for x in order}
-    for a, c in b.adj:
-        out_adj[a].append(c)
     for z in order:
         targets = out_adj[z]
         if not targets or not in_rel[z]:
@@ -247,35 +244,16 @@ def _prec_max(b: BurlingSet, targets) -> object:
     )
 
 
-def _toposort_values(count: int, cons) -> list:
-    """Kahn topological sort over symbols 0..count-1, smallest id first,
-    assigning values 1..count.  Raises on a cycle."""
-    succ = [[] for _ in range(count)]
-    indeg = [0] * count
-    for a, c in cons:
-        succ[a].append(c)
-        indeg[c] += 1
-    heap = [v for v in range(count) if indeg[v] == 0]
-    heapq.heapify(heap)
-    values = [0] * count
-    assigned = 0
-    while heap:
-        v = heapq.heappop(heap)
-        assigned += 1
-        values[v] = assigned
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, u)
-    if assigned != count:
-        raise ContractError("cycle in the horizontal constraint system")
-    return values
-
-
 def horizontal_order(b: BurlingSet, linear: bool = False) -> dict:
     """Map each element to its (left, right) coordinates, values 1..2|S|."""
     order = b.ordered()
-    values = _toposort_values(2 * len(order), horizontal_constraints(b, linear))
+    succ = [[] for _ in range(2 * len(order))]
+    for a, c in horizontal_constraints(b, linear):
+        succ[a].append(c)
+    symbols = _topo_sort(range(len(succ)), succ)
+    if symbols is None:
+        raise ContractError("cycle in the horizontal constraint system")
+    values = {v: value for value, v in enumerate(symbols, 1)}
     return {x: (values[2 * i], values[2 * i + 1]) for i, x in enumerate(order)}
 
 
@@ -287,13 +265,11 @@ def vertical_order(b: BurlingSet) -> dict:
     on that forest, visiting roots and children in ascending element order,
     so related elements nest and unrelated ones get disjoint spans.
     """
-    order = b.ordered()
-    out_prec, _ = _relation_maps(b.elements, b.prec)
-    out_adj, _ = _relation_maps(b.elements, b.adj)
-    rel = b.prec | b.adj
-    out_rel = {x: out_prec[x] | out_adj[x] for x in order}
-
-    rank_of = _relation_ranks(order, rel)
+    order = b._order
+    out_rel, _ = b._rel_maps
+    if b._topo is None:
+        raise ContractError("cycle in the combined relation")
+    rank_of = {x: i for i, x in enumerate(b._topo)}
     roots = []
     children = {x: [] for x in order}
     for x in order:
@@ -302,12 +278,12 @@ def vertical_order(b: BurlingSet) -> dict:
             roots.append(x)
             continue
         chain = sorted(targets, key=lambda z: rank_of[z])
-        if all((chain[k], chain[k + 1]) in rel for k in range(len(chain) - 1)):
+        if all(chain[k + 1] in out_rel[chain[k]] for k in range(len(chain) - 1)):
             parent = chain[0]
         else:
             candidates = [
                 z for z in chain
-                if not any((y, z) in rel for y in targets if y != z)
+                if not any(z in out_rel[y] for y in targets if y != z)
             ]
             if len(candidates) != 1:
                 raise ContractError(
@@ -334,29 +310,6 @@ def vertical_order(b: BurlingSet) -> dict:
                 clock += 1
                 stack.append((child, iter(children[child])))
     return vals
-
-
-def _relation_ranks(order, rel) -> dict:
-    """A topological rank of the combined relation: rank[a] < rank[c]
-    whenever (a, c) is in the relation."""
-    succ = {x: [] for x in order}
-    indeg = {x: 0 for x in order}
-    for a, c in rel:
-        succ[a].append(c)
-        indeg[c] += 1
-    heap = [x for x in order if indeg[x] == 0]
-    heapq.heapify(heap)
-    rank = {}
-    while heap:
-        x = heapq.heappop(heap)
-        rank[x] = len(rank)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(heap, y)
-    if len(rank) != len(order):
-        raise ContractError("cycle in the combined relation")
-    return rank
 
 
 def build_frames(b: BurlingSet, linear: bool = False) -> FrameFamily:

@@ -1,8 +1,9 @@
 """Text and JSON formats for graphs, Burling sets, frames, and weights.
 
 Graph text: '#' starts a comment, blank lines are skipped, the first data
-line is the vertex count n >= 1, and every further line is an edge "u v"
-with 0 <= u < v < n, no duplicates.
+line is the vertex count n with 1 <= n <= 100000 (_MAX_VERTICES; a larger
+count is rejected before anything is allocated for it), and every further
+line is an edge "u v" with 0 <= u < v < n, no duplicates.
 
 Burling set JSON: {"elements": [names], "prec": [[a, b], ...],
 "adj": [[a, b], ...]}.  Names are strings (integers are accepted and
@@ -23,6 +24,8 @@ from .errors import InputError
 from .frames import Frame, FrameFamily
 from .graph import Graph
 
+_MAX_VERTICES = 100_000
+
 
 def _data_lines(text: str):
     for raw in text.splitlines():
@@ -41,6 +44,8 @@ def parse_graph_text(text: str) -> Graph:
         raise InputError(f"expected a vertex count, got {lines[0]!r}")
     if n < 1:
         raise InputError("vertex count must be at least 1")
+    if n > _MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {_MAX_VERTICES}")
     edges = []
     seen = set()
     for line in lines[1:]:

@@ -12,14 +12,18 @@ pairs): each element u carries the optimal solution inside its prec-cone
 the whole relation combines the cones.  Elements of a selected cone are
 nested inside u, hence non-adjacent to everything the top solution keeps.
 
+The relation maps and the topological order come from the set's relation
+index (see core.BurlingSet).  solve_indep checks weights and chordality
+once, through chordal_relation, and then runs the greedy on each cone's
+sub-relation cut from the index maps; it does not call mwis_chordal, which
+keeps every check for relations from outside.
+
 Weights are nonnegative integers.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from .core import BurlingSet, _relation_maps
+from .core import BurlingSet, _topo_sort
 from .errors import ContractError, InputError
 from .graph import Graph
 from .recognition import recognize
@@ -43,70 +47,34 @@ def chordal_relation(b: BurlingSet) -> frozenset:
     direction.  Both follow from the axioms, so a failure here is a bug in
     the caller or this package, not bad input.
     """
-    rel = b.prec | b.adj
-    _topo_order(b.ordered(), rel)
-    out = {x: set() for x in b.elements}
-    for a, c in rel:
-        out[a].add(c)
-    for x, targets in out.items():
-        ts = sorted(targets)
-        for i, y in enumerate(ts):
-            for z in ts[i + 1:]:
-                if (y, z) not in rel and (z, y) not in rel:
-                    raise ContractError(
-                        f"out-targets {y!r}, {z!r} of {x!r} are unrelated"
-                    )
-    return frozenset(rel)
-
-
-def _topo_order(order, rel) -> list:
-    """Topological order of the relation, sources first, ascending-id ties.
-    Raises ContractError on a cycle."""
-    succ = {x: [] for x in order}
-    indeg = {x: 0 for x in order}
-    for a, c in rel:
-        succ[a].append(c)
-        indeg[c] += 1
-    heap = [x for x in order if indeg[x] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        x = heapq.heappop(heap)
-        out.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(heap, y)
-    if len(out) != len(order):
+    if b._topo is None:
         raise ContractError("combined relation has a cycle")
-    return out
+    gap = _unrelated_targets(b._order, b._rel_maps[0])
+    if gap is not None:
+        x, y, z = gap
+        raise ContractError(f"out-targets {y!r}, {z!r} of {x!r} are unrelated")
+    return b.prec | b.adj
 
 
-def mwis_chordal(elements, rel, weights) -> tuple:
-    """Maximum-weight independent set of the graph whose edges are the
-    related pairs, via the two-phase greedy over a perfect elimination
-    order.  Returns (frozenset, weight).  Empty element set is fine.
-    """
-    order = sorted(elements)
-    eset = set(order)
-    _check_weights(order, weights)
-    out = {x: [] for x in order}
-    inc = {x: [] for x in order}
-    for a, c in rel:
-        if a not in eset or c not in eset:
-            raise InputError(f"relation pair ({a!r}, {c!r}) leaves the element set")
-        out[a].append(c)
-        inc[c].append(a)
-    relset = set(rel)
+def _unrelated_targets(order, out):
+    """The first element x, in the given order, with two out-targets y < z
+    related in neither direction, as (x, y, z); None if there is none."""
     for x in order:
-        ts = sorted(set(out[x]))
+        ts = sorted(out[x])
         for i, y in enumerate(ts):
             for z in ts[i + 1:]:
-                if (y, z) not in relset and (z, y) not in relset:
-                    raise ContractError(f"relation is not chordal at {x!r}")
+                if z not in out[y] and y not in out[z]:
+                    return x, y, z
+    return None
 
-    peo = _topo_order(order, relset)
-    residual = {x: weights[x] for x in order}
+
+def _two_phase(peo, out, weights) -> tuple:
+    """Frank's two-phase greedy over a perfect elimination order peo of a
+    chordal relation given by out-maps that stay inside peo.  Returns
+    (frozenset, weight).  The second phase walks peo backwards, so only
+    out-targets of an element can already be kept when it is reached.
+    """
+    residual = {x: weights[x] for x in peo}
     marked = []
     for x in peo:
         r = residual[x]
@@ -116,11 +84,30 @@ def mwis_chordal(elements, rel, weights) -> tuple:
                 residual[y] -= r
     chosen = set()
     for x in reversed(marked):
-        if not any(y in chosen for y in out[x]) and not any(
-            y in chosen for y in inc[x]
-        ):
+        if chosen.isdisjoint(out[x]):
             chosen.add(x)
     return frozenset(chosen), sum(weights[x] for x in chosen)
+
+
+def mwis_chordal(elements, rel, weights) -> tuple:
+    """Maximum-weight independent set of the graph whose edges are the
+    related pairs, via the two-phase greedy over a perfect elimination
+    order.  Returns (frozenset, weight).  Empty element set is fine.
+    """
+    order = sorted(elements)
+    _check_weights(order, weights)
+    out = {x: set() for x in order}
+    for a, c in rel:
+        if a not in out or c not in out:
+            raise InputError(f"relation pair ({a!r}, {c!r}) leaves the element set")
+        out[a].add(c)
+    gap = _unrelated_targets(order, out)
+    if gap is not None:
+        raise ContractError(f"relation is not chordal at {gap[0]!r}")
+    peo = _topo_sort(order, out)
+    if peo is None:
+        raise ContractError("combined relation has a cycle")
+    return _two_phase(peo, out, weights)
 
 
 def solve_indep(b: BurlingSet, weights) -> tuple:
@@ -130,32 +117,34 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     the cone of u is solved before u because it is strictly smaller than
     any cone containing u.
     """
-    _check_weights(b.ordered(), weights)
-    rel = chordal_relation(b)
-    _, in_prec = _relation_maps(b.elements, b.prec)
-    out_adj, in_adj = _relation_maps(b.elements, b.adj)
+    _check_weights(b._order, weights)
+    chordal_relation(b)
+    _, in_prec = b._prec_maps
+    out_adj, in_adj = b._adj_maps
+    out_rel, _ = b._rel_maps
 
     memo = {}  # u -> (expanded solution inside the cone of u, its weight)
 
-    def cone_solve(members):
-        for x in members:
+    def cone_solve(peo, out):
+        for x in peo:
             if x not in memo:
                 # only reachable when prec is not transitive
                 raise ContractError(f"cone of {x!r} was not solved first")
-        boosted = {x: weights[x] + memo[x][1] for x in members}
-        sub_rel = [(a, c) for a, c in rel if a in members and c in members]
-        core, _ = mwis_chordal(members, sub_rel, boosted)
+        boosted = {x: weights[x] + memo[x][1] for x in peo}
+        core, total = _two_phase(peo, out, boosted)
         full = set(core)
-        total = 0
         for x in core:
             full.update(memo[x][0])
-            total += boosted[x]
         return frozenset(full), total
 
-    for u in sorted(b.ordered(), key=lambda x: len(in_prec[x])):
-        memo[u] = cone_solve(in_prec[u])
+    # A cone's sub-relation of the chordal acyclic relation is again
+    # chordal and acyclic, so cones are solved without a further check.
+    for u in sorted(b._order, key=lambda x: len(in_prec[x])):
+        cone = in_prec[u]
+        out = {x: out_rel[x] & cone for x in cone}
+        memo[u] = cone_solve(_topo_sort(cone, out), out)
 
-    result, total = cone_solve(frozenset(b.elements))
+    result, total = cone_solve(b._topo, out_rel)
     for x in result:
         bad = (out_adj[x] | in_adj[x]) & result
         if bad:

@@ -147,6 +147,21 @@ def test_solve_indep_rejects_broken_cones():
         solve_indep(b, _unit("abyz"))
 
 
+@pytest.mark.parametrize(
+    "b",
+    [
+        BurlingSet("ab", prec=[("a", "b")], adj=[("b", "a")]),  # cycle
+        BurlingSet("xyz", adj=[("x", "y"), ("x", "z")]),  # y, z unrelated
+    ],
+    ids=["cycle", "non-chordal"],
+)
+def test_broken_relation_is_contract_error(b):
+    with pytest.raises(ContractError):
+        chordal_relation(b)
+    with pytest.raises(ContractError):
+        solve_indep(b, _unit(b.elements))
+
+
 def test_solve_indep_matches_brute_force():
     rng = random.Random(97)
     for seed in range(40):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -189,6 +190,18 @@ def test_parse_graph_text_rejections():
     ):
         with pytest.raises(InputError):
             parse_graph_text(text)
+
+
+def test_parse_graph_text_rejects_huge_count_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="limit of 100000"):
+            parse_graph_text("1000000000\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parse_graph_text("100000\n").n == 100000
 
 
 # ------------------------------------------------------------------- set json
