@@ -44,17 +44,11 @@ from .mis import (
     solve_indep,
 )
 from .oracles import brute_force_mwis, exhaustive_recognize
-from .recognition import (
-    BurlingStructure,
-    RecognitionStats,
-    recognize,
-    recognize_with_stats,
-)
+from .recognition import RecognitionStats, recognize, recognize_with_stats
 from .svg import render_svg
 
 __all__ = [
     "BurlingSet",
-    "BurlingStructure",
     "ContractError",
     "ElementClassification",
     "Frame",

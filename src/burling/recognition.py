@@ -12,12 +12,24 @@ closed neighborhood N[v] of a single center vertex v:
 
 The answer to a subproblem depends only on S respectively (r, S): the
 blocked set X never appears in the requirement, it only governs which
-subproblems arise.  The memo is therefore keyed by the component itself
-(respectively the root and the component), so the same subproblem reached
-under different blocked sets is solved once.  Subproblems are solved by
-memoized recursion, so only the subproblems an instance actually demands
-are ever created; every recursive call strictly shrinks S, so the
-recursion depth is bounded by the vertex count.
+subproblems arise.  The memo is therefore keyed by (None, S) respectively
+(r, S), so the same subproblem reached under different blocked sets is
+solved once.
+
+Vertex sets are int bitmasks (bit v stands for vertex v), and each vertex
+has an adjacency mask; neighborhoods and the frontiers of component
+searches are ORs of adjacency masks.  The components of S-r for every
+candidate root r of an unrooted subproblem come from one articulation-point
+depth-first search of S.
+
+The memo keeps only each subproblem's plan: for unrooted(S) the chosen root
+and its components, for rooted(r, S) the inner, outer and pendant parts and
+the nesting order of the inner parts; a failed subproblem is kept as None.
+The witness is built once at the end from the plans of the solved tree.
+Subproblems are solved on demand, in the order the recursive definition
+visits them: each one is a generator that yields the subproblems it needs
+and receives their plans, driven by a loop over an explicit stack, so deep
+inputs need no recursion.
 
 The graph is a Burling graph exactly when unrooted(empty, C) is solvable for
 every component C, and the union of those solutions is a witness.
@@ -25,39 +37,12 @@ every component C, and the union of those solutions is a witness.
 
 from __future__ import annotations
 
-import sys
+from array import array
 from dataclasses import dataclass
 
 from .core import BurlingSet, classify_elements, induced_graph, verify_axioms
 from .errors import ContractError
-from .graph import Graph, _components_sets, is_triangle_free, nesting_order
-
-
-@dataclass(frozen=True)
-class BurlingStructure:
-    """A solved subproblem: the connected set it is around, and a Burling
-    set on its closed neighborhood."""
-
-    around: frozenset
-    structure: BurlingSet
-
-
-class RecognitionMemo:
-    """Solved-subproblem cache for one recognition run.
-
-    Failures are cached exactly like successes (value None).  The table is
-    written only by the run that owns it.
-    """
-
-    def __init__(self, g: Graph, debug: bool = False):
-        self.g = g
-        self.debug = debug
-        self.unrooted = {}  # S -> BurlingStructure | None
-        self.rooted = {}  # (root, S) -> BurlingStructure | None
-
-    @property
-    def subproblem_count(self) -> int:
-        return len(self.unrooted) + len(self.rooted)
+from .graph import Graph, components, is_triangle_free, nesting_order
 
 
 @dataclass(frozen=True)
@@ -70,220 +55,367 @@ class RecognitionStats:
         return self.unrooted_count + self.rooted_count
 
 
-def _neighborhood(g: Graph, s) -> frozenset:
-    """Open neighborhood N(s)."""
-    acc = set()
-    for x in s:
-        acc |= g.adj[x]
-    return frozenset(acc - s)
+def _members(m: int):
+    """The vertices of mask m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _closed_region(g: Graph, s: frozenset):
-    """(N(S), N[S]) for a vertex set s."""
-    ns = _neighborhood(g, s)
-    return ns, s | ns
+def _inside_one(t: int, masks) -> bool:
+    """Whether mask t lies inside one of the masks (vacuously when empty)."""
+    return not t or any(not t & ~m for m in masks)
 
 
-def solve_unrooted(g: Graph, memo: RecognitionMemo, x_center, s) -> "BurlingStructure | None":
-    s = frozenset(s)
-    if s in memo.unrooted:
-        return memo.unrooted[s]
-    result = _compute_unrooted(g, memo, x_center, s)
-    if memo.debug and result is not None:
-        _assert_solution(g, s, result, root=None)
-    memo.unrooted[s] = result
-    return result
+def _lowest(m: int) -> int:
+    """The smallest vertex of a non-empty mask."""
+    return (m & -m).bit_length() - 1
 
 
-def _compute_unrooted(g, memo, x_center, s):
-    ns, nclosed = _closed_region(g, s)
-    # N(S) is independent (it sits inside the neighborhood of the center,
-    # and the graph is triangle-free), so each p in N(S) meets N[S] only
-    # within S itself.
-    reach = {p: g.adj[p] & nclosed for p in ns}
-    for r in sorted(s):
-        comps = _components_sets(g, s - {r})
-        ok = True
-        for t in reach.values():
-            rest = t - {r}
-            if not rest:
+class _Recognizer:
+    """The dynamic program on one connected component of a graph: its masks
+    and its plan memo.
+
+    The component's vertices, names[0] < names[1] < ..., are numbered 0, 1,
+    ... in the masks, so masks are as wide as the component and every order
+    the program follows is the order of the names.  plans maps (None, S) to
+    an unrooted plan (r, components) and (r, S) to a rooted plan (inner,
+    outer, pendant, order), or either to None when the subproblem has no
+    solution.
+    """
+
+    def __init__(self, g: Graph, names: tuple, debug: bool = False):
+        self.g = g
+        self.names = names
+        self.debug = debug
+        self.bit = [1 << i for i in range(len(names))]
+        number = {v: i for i, v in enumerate(names)}
+        self.adj = [sum(self.bit[number[w]] for w in g.adj[v]) for v in names]
+        self.plans = {}
+
+    # -- vertex sets ------------------------------------------------------
+
+    def _around(self, m: int) -> int:
+        """The union of the neighborhoods of the vertices of m."""
+        acc, adj = 0, self.adj
+        while m:
+            low = m & -m
+            acc |= adj[low.bit_length() - 1]
+            m ^= low
+        return acc
+
+    def _components(self, s: int) -> list:
+        """The components of g[s], ordered by smallest vertex, each with
+        the union of its vertices' neighborhoods: [(component, around)]."""
+        out = []
+        while s:
+            comp = frontier = s & -s
+            s ^= comp
+            around = 0
+            while frontier:
+                step = self._around(frontier)
+                around |= step
+                frontier = step & s
+                s ^= frontier
+                comp |= frontier
+            out.append((comp, around))
+        return out
+
+    def _cut_search(self, s: int):
+        """Depth-first search of the connected set s from its smallest
+        vertex, visiting smaller neighbors first.
+
+        Returns (bits, size, low, rank): per preorder position i, the bit
+        of the i-th vertex visited, the size of its subtree (positions i to
+        i + size[i] - 1) and the smallest position adjacent to that subtree
+        (itself included); rank lists the positions in ascending vertex
+        order.  A child c of the vertex at position i is cut off from the
+        rest by removing it exactly when low[c] >= i.
+        """
+        adj, bit = self.adj, self.bit
+        v = _lowest(s)
+        pos = {bit[v]: 0}  # keyed by the vertex's bit
+        # An unrooted subproblem keeps these while the subproblems it demands
+        # are solved, so the positions go in compact int arrays.
+        bits, size, low = [bit[v]], array("i", [0]), array("i", [0])
+        unseen = s ^ bit[v]
+        path = [(0, adj[v] & s)]  # (position, neighbors in s)
+        while path:
+            i, around = path[-1]
+            nxt = around & unseen
+            if nxt:
+                w = _lowest(nxt)
+                b = bit[w]
+                j = pos[b] = len(bits)
+                unseen ^= b
+                bits.append(b)
+                size.append(0)
+                around = adj[w] & s
+                # the visited neighbors of w are its ancestors, the parent at
+                # position i among them
+                lo, back = i, around & ~unseen ^ bits[i]
+                while back:
+                    x = back & -back
+                    lo = min(lo, pos[x])
+                    back ^= x
+                low.append(lo)
+                path.append((j, around))
+            else:
+                path.pop()
+                size[i] = len(bits) - i
+                if path:
+                    p = path[-1][0]
+                    if low[i] < low[p]:
+                        low[p] = low[i]
+        rank = array("i", sorted(range(len(bits)), key=bits.__getitem__))
+        return bits, size, low, rank
+
+    # -- the subproblems ----------------------------------------------------
+
+    def solve(self, key):
+        """The plan of the subproblem key, solving every subproblem it
+        demands first, depth first in demand order."""
+        plans = self.plans
+        if key in plans:
+            return plans[key]
+        stack = [(key, self._start(key))]
+        value = None
+        while stack:
+            top, gen = stack[-1]
+            try:
+                child = gen.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = plans[top] = done.value
+                if self.debug and value is not None:
+                    self._assert_solution(top)
                 continue
-            home = next((c for c in comps if rest & c), None)
-            if home is None or not rest <= home:
-                ok = False
-                break
-        if not ok:
-            continue
-        subs = []
-        for c in comps:
-            sol = solve_rooted(g, memo, x_center, r, c)
-            if sol is None:
-                break
-            subs.append(sol)
-        else:
-            prec = set()
-            adj = set()
-            for sub in subs:
-                prec |= sub.structure.prec
-                adj |= sub.structure.adj
-            for p, t in reach.items():
-                if t == {r}:
-                    adj.add((p, r))
-            return BurlingStructure(s, BurlingSet(nclosed, prec, adj))
-    return None
+            if child in plans:
+                value = plans[child]
+            else:
+                stack.append((child, self._start(child)))
+                value = None
+        return plans[key]
 
+    def _start(self, key):
+        r, s = key
+        return self._unrooted(s) if r is None else self._rooted(r, s)
 
-def solve_rooted(g: Graph, memo: RecognitionMemo, x_center, r, s) -> "BurlingStructure | None":
-    s = frozenset(s)
-    key = (r, s)
-    if key in memo.rooted:
-        return memo.rooted[key]
-    result = _compute_rooted(g, memo, x_center, r, s)
-    if memo.debug and result is not None:
-        _assert_solution(g, s, result, root=r)
-    memo.rooted[key] = result
-    return result
-
-
-def _compute_rooted(g, memo, x_center, r, s):
-    nr = g.adj[r]
-    ns, nclosed = _closed_region(g, s)
-
-    # Split off the part of s not adjacent to r and classify each component:
-    # inner ones will be represented nested inside r, outer ones beside r,
-    # attached through their single link vertex q.  A component that
-    # qualifies both ways is taken as inner.
-    inner = []
-    outer = []  # (component, q)
-    for c in _components_sets(g, s - nr):
-        nc = _neighborhood(g, c)
-        if nc <= nr and solve_unrooted(g, memo, r, c) is not None:
-            inner.append(c)
-            continue
-        link = nc & nr
-        if len(link) == 1:
-            (q,) = link
-            if q in s and solve_rooted(g, memo, x_center, q, c) is not None:
-                outer.append((c, q))
+    def _unrooted(self, s):
+        """Solves unrooted(S): yields the subproblems it needs, in order, and
+        returns its plan or None."""
+        adj = self.adj
+        nclosed = s | self._around(s)
+        # N(S) is independent (it sits inside the neighborhood of the center,
+        # and the graph is triangle-free), so each p in N(S) meets N[S] only
+        # within S itself.
+        reach = [adj[p] & nclosed for p in _members(nclosed & ~s)]
+        bits, size, low, rank = self._cut_search(s)
+        for i in rank:
+            rb = bits[i]
+            r = rb.bit_length() - 1
+            # the components of S-r: the subtrees of the children cut off
+            # from the rest, and the rest; the root's first subtree is its rest
+            comps = []
+            j, end = i + 1, i + size[i]
+            if not i and j < end:
+                j += size[j]
+            while j < end:
+                if low[j] >= i:
+                    comps.append(sum(bits[j : j + size[j]]))
+                j += size[j]
+            rest = s ^ rb ^ sum(comps)
+            if rest:
+                comps.append(rest)
+            comps.sort(key=lambda m: m & -m)
+            # each probe must reach into a single component of S-r
+            if not all(_inside_one(t & ~rb, comps) for t in reach):
                 continue
+            for c in comps:
+                if (yield (r, c)) is None:
+                    break
+            else:
+                return r, tuple(comps)
         return None
 
-    # Every outside probe must fall into one of three shapes: reaching only
-    # r and inner territory, confined to a single outer component plus its
-    # link, or pendant on a single neighbor of r inside s.
-    inner_zone = frozenset(x for c in inner for x in c) | {r}
-    pendant = []  # (p, q) pairs realized below
-    for p in sorted(ns - {r}):
-        t = g.adj[p] & nclosed
-        if t <= inner_zone:
-            continue
-        if len(t) == 1:
-            (q,) = t
-            if q in nr and q in s:
-                pendant.append((p, q))
+    def _rooted(self, r, s):
+        """Solves rooted(r, S) like _unrooted solves unrooted(S)."""
+        adj, bit = self.adj, self.bit
+        nr = adj[r]
+
+        # Split off the part of s not adjacent to r and classify each component:
+        # inner ones will be represented nested inside r, outer ones beside r,
+        # attached through their single link vertex q.  A component that
+        # qualifies both ways is taken as inner.
+        inner = []
+        outer = []  # (component, q)
+        around_s = self._around(s & nr)
+        for c, around in self._components(s & ~nr):
+            around_s |= around
+            nc = around & ~c
+            if not nc & ~nr and (yield (None, c)) is not None:
+                inner.append(c)
                 continue
-        if not any(t <= c | {q} for c, q in outer):
+            link = nc & nr
+            if link and not link & (link - 1) and link & s:
+                q = link.bit_length() - 1
+                if (yield (q, c)) is not None:
+                    outer.append((c, q))
+                    continue
             return None
+        nclosed = s | around_s
 
-    order = nesting_order(g, inner)
-    if order is None:
-        return None
-
-    prec = set()
-    adj = set()
-    for c in inner:
-        sub = solve_unrooted(g, memo, r, c)
-        prec |= sub.structure.prec
-        adj |= sub.structure.adj
-    for c, q in outer:
-        sub = solve_rooted(g, memo, x_center, q, c)
-        prec |= sub.structure.prec
-        adj |= sub.structure.adj
-    for c in inner:
-        for x in c:
-            prec.add((x, r))
-    for i, j in order:
-        c1, c2 = inner[i], inner[j]
-        nb1 = _neighborhood(g, c1)
-        targets = [y for y in c2 if g.adj[y] & nb1]
-        for x in c1:
-            for y in targets:
-                prec.add((x, y))
-    for q in nr & nclosed:
-        adj.add((q, r))
-    for p, q in pendant:
-        adj.add((p, q))
-    return BurlingStructure(s, BurlingSet(nclosed, prec, adj))
-
-
-def _assert_solution(g, s, sol, root):
-    """Debug-mode postcondition check for one memo entry."""
-    ns, nclosed = _closed_region(g, s)
-    b = sol.structure
-    if sol.around != s or b.elements != nclosed:
-        raise ContractError("subproblem solution covers the wrong element set")
-    report = verify_axioms(b)
-    if not report.ok:
-        raise ContractError(f"subproblem solution breaks axioms: {report.lines()[0]}")
-    order = sorted(nclosed)
-    want = Graph(
-        len(order),
-        (
-            (i, j)
-            for i, x in enumerate(order)
-            for j, y in enumerate(order)
-            if i < j and y in g.adj[x]
-        ),
-    )
-    if induced_graph(b) != want:
-        raise ContractError("subproblem solution does not realize the induced subgraph")
-    cls = classify_elements(b)
-    probes_wanted = ns if root is None else ns - {root}
-    if not probes_wanted <= cls.probes:
-        raise ContractError("outside vertices are not all probes in the solution")
-    if root is not None and root not in cls.roots:
-        raise ContractError("designated root is not a root in the solution")
-
-
-def _recognize(g: Graph, memo: RecognitionMemo):
-    if g.n == 0:
-        return None
-    if not is_triangle_free(g):
-        return None
-    limit = sys.getrecursionlimit()
-    needed = 6 * g.n + 200
-    if limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        elements = set()
-        prec = set()
-        adj = set()
-        for comp in _components_sets(g, frozenset(range(g.n))):
-            sol = solve_unrooted(g, memo, None, comp)
-            if sol is None:
+        # Every outside probe must fall into one of three shapes: reaching only
+        # r and inner territory, confined to a single outer component plus its
+        # link, or pendant on a single neighbor of r inside s.
+        inner_zone = sum(inner) | bit[r]
+        pendant = []  # (p, q) pairs realized below
+        for p in _members(nclosed & ~s & ~bit[r]):
+            t = adj[p] & nclosed
+            if not t & ~inner_zone:
+                continue
+            if not t & (t - 1) and t & nr & s:
+                pendant.append((p, t.bit_length() - 1))
+                continue
+            if not _inside_one(t, [c | bit[q] for c, q in outer]):
                 return None
-            elements |= sol.structure.elements
-            prec |= sol.structure.prec
-            adj |= sol.structure.adj
+
+        name = self.names
+        order = nesting_order(self.g, [[name[v] for v in _members(c)] for c in inner])
+        if order is None:
+            return None
+        return tuple(inner), tuple(outer), tuple(pendant), order
+
+    # -- witnesses ----------------------------------------------------------
+
+    def pairs(self, key) -> tuple:
+        """The prec and adj pairs, between names, of the solved subproblem
+        key and of every subproblem its plan rests on."""
+        adj, name = self.adj, self.names
+        prec_pairs, adj_pairs = set(), set()
+        todo, done = [key], set()
+        while todo:
+            key = todo.pop()
+            if key in done:
+                continue
+            done.add(key)
+            r, s = key
+            plan = self.plans[key]
+            nclosed = s | self._around(s)
+            if r is None:
+                root, comps = plan
+                todo += ((root, c) for c in comps)
+                rb = self.bit[root]
+                adj_pairs.update(
+                    (name[p], name[root])
+                    for p in _members(nclosed & ~s)
+                    if adj[p] & nclosed == rb
+                )
+                continue
+            inner, outer, pendant, order = plan
+            todo += ((None, c) for c in inner)
+            todo += ((q, c) for c, q in outer)
+            for c in inner:
+                prec_pairs.update((name[x], name[r]) for x in _members(c))
+            for i, j in order:
+                c1, c2 = inner[i], inner[j]
+                nb1 = self._around(c1) & ~c1
+                targets = [name[y] for y in _members(c2) if adj[y] & nb1]
+                prec_pairs.update((name[x], y) for x in _members(c1) for y in targets)
+            adj_pairs.update((name[q], name[r]) for q in _members(adj[r] & nclosed))
+            adj_pairs.update((name[p], name[q]) for p, q in pendant)
+        return prec_pairs, adj_pairs
+
+    def structure(self, key) -> "BurlingSet | None":
+        """The Burling set on N[S] that the plan of the solved subproblem
+        key = (r, S) stands for, or None when it has no solution."""
+        if self.solve(key) is None:
+            return None
+        s = key[1]
+        nclosed = s | self._around(s)
+        prec, adj = self.pairs(key)
+        elements = frozenset(self.names[v] for v in _members(nclosed))
+        if any(x not in elements for pair in prec | adj for x in pair):
+            raise ContractError("subproblem solution covers the wrong element set")
         return BurlingSet(elements, prec, adj)
-    finally:
-        if limit < needed:
-            sys.setrecursionlimit(limit)
+
+    def _assert_solution(self, key):
+        """Debug-mode postcondition check for one solved subproblem."""
+        root, s = key
+        b = self.structure(key)
+        report = verify_axioms(b)
+        if not report.ok:
+            raise ContractError(f"subproblem solution breaks axioms: {report.lines()[0]}")
+        order = b.ordered()
+        want = Graph(
+            len(order),
+            (
+                (i, j)
+                for i, x in enumerate(order)
+                for j, y in enumerate(order)
+                if i < j and y in self.g.adj[x]
+            ),
+        )
+        if induced_graph(b) != want:
+            raise ContractError("subproblem solution does not realize the induced subgraph")
+        name = self.names
+        cls = classify_elements(b)
+        probes = {name[p] for p in _members(self._around(s) & ~s) if p != root}
+        if not probes <= cls.probes:
+            raise ContractError("outside vertices are not all probes in the solution")
+        if root is not None and name[root] not in cls.roots:
+            raise ContractError("designated root is not a root in the solution")
+
+
+def _recognize(g: Graph, debug: bool):
+    """(witness or None, RecognitionStats): unrooted(C) for each component
+    C of g in turn, stopping at the first that has no solution."""
+    unrooted = rooted = 0
+    prec, adj = set(), set()
+    witness = None
+    if g.n and is_triangle_free(g):
+        for names in components(g, range(g.n)):
+            rec = _Recognizer(g, names, debug)
+            key = (None, (1 << len(names)) - 1)
+            solved = rec.solve(key) is not None
+            u = sum(1 for r, _ in rec.plans if r is None)
+            unrooted += u
+            rooted += len(rec.plans) - u
+            if not solved:
+                break
+            p, a = rec.pairs(key)
+            prec |= p
+            adj |= a
+        else:
+            witness = BurlingSet(range(g.n), prec, adj)
+    return witness, RecognitionStats(unrooted, rooted)
+
+
+def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
+    """The Burling set the dynamic program builds for one subproblem:
+    unrooted(S) when root is None, else rooted(root, S); None when it has
+    no solution.  s is a non-empty connected vertex set, as an iterable."""
+    s = set(s)
+    names = next(c for c in components(g, range(g.n)) if s <= set(c))
+    rec = _Recognizer(g, names, debug=False)
+    number = {v: i for i, v in enumerate(names)}
+    local_root = None if root is None else number[root]
+    return rec.structure((local_root, sum(rec.bit[number[v]] for v in s)))
 
 
 def recognize(g: Graph, debug: bool = False) -> "BurlingSet | None":
     """A Burling set whose adjacency graph is g, or None if none exists.
 
     Vertices of g become the elements of the result.  Graphs containing a
-    triangle are rejected up front.  With debug=True every memoized
-    subproblem solution is re-checked against its postconditions.
+    triangle are rejected up front.  With debug=True every solved
+    subproblem is re-checked against its postconditions, on the Burling set
+    built from its plan.
     """
-    return _recognize(g, RecognitionMemo(g, debug))
+    return _recognize(g, debug)[0]
 
 
 def recognize_with_stats(g: Graph, debug: bool = False):
     """Like recognize, also reporting how many distinct subproblems the run
     created (solved or failed)."""
-    memo = RecognitionMemo(g, debug)
-    result = _recognize(g, memo)
-    return result, RecognitionStats(len(memo.unrooted), len(memo.rooted))
+    return _recognize(g, debug)

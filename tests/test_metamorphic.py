@@ -1,4 +1,4 @@
-"""Seeded metamorphic tests on generated Burling sets.
+"""Seeded metamorphic tests on generated Burling sets and on graphs.
 
 Renaming the elements of a Burling set by a random injection changes the
 sorted order every tie-break in the library follows, but not the structure:
@@ -6,24 +6,38 @@ the axioms still hold, the optimum weight is the same, and frames built from
 the renamed set give back the renamed set.  Restricting to a subset keeps
 the axioms (they are universal statements about the elements they name) and
 can only lower the optimum.
+
+For graphs, relabelling the vertices does not change whether a graph is a
+Burling graph, and Burling graphs are closed under induced subgraphs.  The
+non-Burling graphs come from the benchmark's reject pool; its near-misses
+are generated Burling graphs plus one recorded extra edge.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from burling import (
     BurlingSet,
     GeneratorConfig,
+    Graph,
     build_frames,
     extract_burling,
     gen_burling,
+    induced_graph,
+    recognize,
     restrict,
     solve_indep,
     verify_axioms,
 )
+
+REJECT_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reject_pool.json").read_text()
+)["graphs"]
 
 
 def _relabel(b, name):
@@ -60,3 +74,59 @@ def test_relabelling_and_restriction(seed):
     r = restrict(c, u)
     assert verify_axioms(r).ok
     assert solve_indep(r, {x: weights[x] for x in u})[1] <= total
+
+
+def _witnesses(g, w):
+    return w is not None and verify_axioms(w).ok and induced_graph(w) == g
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+
+
+def _generated_graph(rng, seed):
+    b = gen_burling(
+        GeneratorConfig(
+            seed=seed,
+            target_size=rng.randrange(1, 40),
+            probe_bias=rng.random(),
+            join_mix=rng.random(),
+        )
+    )
+    return induced_graph(b)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_verdict_survives_relabelling(seed):
+    rng = random.Random(seed)
+    g = _generated_graph(rng, seed)
+    assert _witnesses(g, recognize(g))
+    h = _relabelled(g, rng)
+    assert _witnesses(h, recognize(h))
+    for n, edges, _ in rng.sample(REJECT_POOL, 3):
+        assert recognize(_relabelled(Graph(n, [tuple(e) for e in edges]), rng)) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_induced_subgraphs_of_burling_graphs_are_accepted(seed):
+    rng = random.Random(seed)
+    g = _generated_graph(rng, 1000 + seed)
+    for _ in range(5):
+        keep = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
+        pos = {v: i for i, v in enumerate(keep)}
+        sub = Graph(
+            len(keep),
+            [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos],
+        )
+        assert _witnesses(sub, recognize(sub))
+
+
+def test_near_misses_without_their_extra_edge_are_accepted():
+    near_misses = [(n, edges, extra) for n, edges, extra in REJECT_POOL if extra is not None]
+    assert near_misses
+    for n, edges, extra in near_misses:
+        g = Graph(n, [tuple(e) for e in edges if e != extra])
+        assert len(g.edges) == len(edges) - 1
+        assert _witnesses(g, recognize(g))

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import burling
 from burling import (
     BurlingSet,
+    ContractError,
     GeneratorConfig,
     Graph,
     gen_burling,
@@ -16,7 +23,8 @@ from burling import (
     recognize_with_stats,
     verify_axioms,
 )
-from burling.recognition import RecognitionMemo, solve_rooted, solve_unrooted
+from burling import recognition
+from burling.recognition import subproblem_structure
 
 
 def _sound(g, b):
@@ -92,59 +100,73 @@ def test_groetzsch_rejected():
 def test_rooted_star_leaf():
     # center 0 with leaves 1, 2; rooted at the center around one leaf
     g = Graph(3, [(0, 1), (0, 2)])
-    memo = RecognitionMemo(g)
-    sol = solve_rooted(g, memo, None, 0, frozenset({1}))
+    sol = subproblem_structure(g, 0, frozenset({1}))
     assert sol is not None
-    assert sol.structure.elements == frozenset({0, 1})
-    assert sol.structure.prec == frozenset()
-    assert sol.structure.adj == frozenset({(1, 0)})
+    assert sol.elements == frozenset({0, 1})
+    assert sol.prec == frozenset()
+    assert sol.adj == frozenset({(1, 0)})
 
 
 def test_rooted_path_tail_nests_inside():
     # path 0-1-2-3 rooted at 1 around {2, 3}: component {3} qualifies both
     # as nested-inside and as hanging-outward, and the tie prefers nesting
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    memo = RecognitionMemo(g)
-    sol = solve_rooted(g, memo, None, 1, frozenset({2, 3}))
+    sol = subproblem_structure(g, 1, frozenset({2, 3}))
     assert sol is not None
-    assert sol.structure.elements == frozenset({1, 2, 3})
-    assert sol.structure.prec == frozenset({(3, 1)})
-    assert sol.structure.adj == frozenset({(2, 1), (2, 3)})
+    assert sol.elements == frozenset({1, 2, 3})
+    assert sol.prec == frozenset({(3, 1)})
+    assert sol.adj == frozenset({(2, 1), (2, 3)})
 
 
 def test_rooted_inner_component_preferred():
     # 0-1-2 path rooted at 0 around {1, 2}: component {2} fits both ways
     # and the tie goes to nesting inside
     g = Graph(3, [(0, 1), (1, 2)])
-    memo = RecognitionMemo(g)
-    sol = solve_rooted(g, memo, None, 0, frozenset({1, 2}))
+    sol = subproblem_structure(g, 0, frozenset({1, 2}))
     assert sol is not None
-    assert sol.structure.prec == frozenset({(2, 0)})
-    assert sol.structure.adj == frozenset({(1, 0), (1, 2)})
+    assert sol.prec == frozenset({(2, 0)})
+    assert sol.adj == frozenset({(1, 0), (1, 2)})
 
 
 def test_unrooted_singleton():
     g = Graph(1, [])
-    memo = RecognitionMemo(g)
-    sol = solve_unrooted(g, memo, None, frozenset({0}))
-    assert sol is not None
-    assert sol.structure == BurlingSet({0})
+    assert subproblem_structure(g, None, frozenset({0})) == BurlingSet({0})
 
 
 def test_unrooted_star():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    memo = RecognitionMemo(g)
-    sol = solve_unrooted(g, memo, None, frozenset(range(4)))
-    assert sol is not None
-    b = sol.structure
+    b = subproblem_structure(g, None, frozenset(range(4)))
+    assert b is not None
     assert verify_axioms(b).ok
     assert induced_graph(b).adj == g.adj
 
 
 def test_debug_mode_asserts_solutions():
-    for edges in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)], []):
-        g = Graph(4, edges)
+    graphs = [Graph(4, edges) for edges in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)], [])]
+    # n = 30 graphs with 126 to 637 subproblems, 40 to 50 of them solved
+    for seed, probe_bias, join_mix in ((0, 0.5, 0.5), (2, 0.8, 0.2), (4, 0.8, 0.2), (10, 0.5, 0.5)):
+        b = gen_burling(
+            GeneratorConfig(seed=seed, target_size=30, probe_bias=probe_bias, join_mix=join_mix)
+        )
+        graphs.append(induced_graph(b))
+    for g in graphs:
         assert _sound(g, recognize(g, debug=True))
+
+
+def test_debug_mode_catches_a_broken_plan(monkeypatch):
+    # an unrooted plan that forgets its components stands for a set that
+    # lacks their edges; debug mode checks the set built from each plan
+    solve = recognition._Recognizer._unrooted
+
+    def forgetful(self, s):
+        plan = yield from solve(self, s)
+        return plan and (plan[0], ())
+
+    monkeypatch.setattr(recognition._Recognizer, "_unrooted", forgetful)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not _sound(g, recognize(g))
+    with pytest.raises(ContractError, match="induced subgraph"):
+        recognize(g, debug=True)
 
 
 def test_subproblem_count_bound():
@@ -183,3 +205,35 @@ def test_hereditary_on_samples():
                 ],
             )
             assert recognize(sub) is not None
+
+
+_PATH_CHILD = """
+import resource
+from burling import Graph, recognize
+n = 400
+w = recognize(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+print(w is not None, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_path_within_memory_and_time_budget():
+    # A path is a tree, so a Burling graph, and the longest chain of nested
+    # subproblems for its size.  A child process runs the recognition, so
+    # the peak resident size it reports (KiB on Linux) is that run's alone.
+    pytest.importorskip("resource")
+    src = str(Path(burling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _PATH_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    elapsed = time.perf_counter() - start
+    accepted, peak_kib = out.stdout.split()
+    assert accepted == "True"
+    assert int(peak_kib) < 150 * 1024
+    assert elapsed < 10.0
