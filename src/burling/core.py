@@ -276,8 +276,7 @@ class ElementClassification:
 
 def classify_elements(b: BurlingSet) -> ElementClassification:
     """Roots, probes, and exposed elements of a Burling set."""
-    # Only the sources and targets of pairs matter, so no relation map is
-    # built or cached: gen_burling classifies every set it grows through.
+    # Only the sources and targets of pairs matter: no relation map is built.
     exposed = b.elements - {x for x, _ in b.prec}
     roots = exposed - {x for x, _ in b.adj}
     probes = exposed - {y for _, y in b.prec} - {y for _, y in b.adj}

@@ -118,9 +118,12 @@ def frames_intersect(f: Frame, g: Frame) -> bool:
     """
     if f.r < g.l or g.r < f.l or f.t < g.b or g.t < f.b:
         return False
-    f_inside = g.l < f.l and f.r < g.r and g.b < f.b and f.t < g.t
-    g_inside = f.l < g.l and g.r < f.r and f.b < g.b and g.t < f.t
-    return not f_inside and not g_inside
+    return not _inside(f, g) and not _inside(g, f)
+
+
+def _inside(f: Frame, g: Frame) -> bool:
+    """f sits strictly inside the open interior of g."""
+    return g.l < f.l and f.r < g.r and g.b < f.b and f.t < g.t
 
 
 def _crossing(f: Frame, g: Frame) -> bool:
@@ -131,48 +134,54 @@ def _crossing(f: Frame, g: Frame) -> bool:
     )
 
 
-def verify_strict(family: FrameFamily) -> VerificationReport:
-    """Check strictness: pair patterns and the three-frame escalation."""
-    fs = family.frames
+def _scan(fs) -> tuple:
+    """One pass over the pairs of frames fs: verify_strict's report, the
+    pairs (f, g) where g escapes f and the pairs (f, g) where f sits inside g."""
     viols = []
-    crossing_pairs = []
+    crossings = []
+    nestings = []
     for i, f in enumerate(fs):
         for g in fs[i + 1:]:
-            if _crossing(f, g):
-                crossing_pairs.append((f, g))
+            if f.r < g.l or g.r < f.l or f.t < g.b or g.t < f.b:
+                continue  # the boxes are apart
+            if _inside(f, g):
+                nestings.append((f, g))
+            elif _inside(g, f):
+                nestings.append((g, f))
+            elif _crossing(f, g):
+                crossings.append((f, g))
             elif _crossing(g, f):
-                crossing_pairs.append((g, f))
-            elif frames_intersect(f, g):
+                crossings.append((g, f))
+            else:  # the boundaries meet, as frames_intersect says
                 viols.append(Violation("pair-pattern", (f.id, g.id)))
-    for f, g in crossing_pairs:
+    for f, g in crossings:
         for h in fs:
             if h.id == f.id or h.id == g.id:
                 continue
             if g.l < h.l < f.r and g.b < h.b and h.t < g.t:
                 viols.append(Violation("triple-pattern", (f.id, g.id, h.id)))
-    return VerificationReport(tuple(viols))
+    return VerificationReport(tuple(viols)), crossings, nestings
+
+
+def verify_strict(family: FrameFamily) -> VerificationReport:
+    """Check strictness: pair patterns and the three-frame escalation."""
+    return _scan(family.frames)[0]
 
 
 def extract_burling(family: FrameFamily) -> BurlingSet:
     """The Burling set realized by a strict family: nesting gives prec,
     crossing gives adj."""
-    report = verify_strict(family)
+    fs = family.frames
+    report, crossings, nestings = _scan(fs)
     if not report.ok:
         raise InputError(f"family is not strict: {report.lines()[0]}")
-    if not family.frames:
+    if not fs:
         raise InputError("cannot extract from an empty family")
-    prec = []
-    adj = []
-    fs = family.frames
-    for f in fs:
-        for g in fs:
-            if f.id == g.id:
-                continue
-            if g.l < f.l < f.r < g.r and g.b < f.b < f.t < g.t:
-                prec.append((f.id, g.id))
-            elif _crossing(g, f):
-                adj.append((f.id, g.id))
-    b = BurlingSet((f.id for f in fs), prec, adj)
+    b = BurlingSet(
+        (f.id for f in fs),
+        ((f.id, g.id) for f, g in nestings),
+        ((g.id, f.id) for f, g in crossings),
+    )
     check = verify_axioms(b)
     if not check.ok:
         raise ContractError(f"extracted relations break axioms: {check.lines()[0]}")

@@ -2,9 +2,9 @@
 
 Grows a set one element at a time from a singleton, using only moves that
 provably preserve the axioms: attaching a fresh probe to an exposed
-element, joining a fresh crossing partner at a root, and folding the
-current probes into a fresh enclosing element.  The joins go through the
-real join operations so their contract checks run on every step.
+element, an outer join of a fresh crossing partner at a root, and an inner
+join folding the current probes into a fresh enclosing element.  Each move
+adds its pairs in place; the set is built and verified once, at the end.
 
 The random stream is splitmix64, fixed here by recurrence so corpora are
 reproducible bit for bit from the seed:
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BurlingSet, inner_join, outer_join, verify_axioms
+from .core import BurlingSet, verify_axioms
 from .errors import ContractError, InputError
 
 _MASK = (1 << 64) - 1
@@ -72,46 +72,40 @@ def gen_burling(cfg: GeneratorConfig) -> BurlingSet:
     attach_cut = int(cfg.probe_bias * (1 << 64))
     inner_cut = int(cfg.join_mix * (1 << 64))
 
-    b = BurlingSet({0})
+    prec, adj = set(), set()
     probes = {0}
     roots = {0}
     exposed = {0}
-    k = 1
 
-    while k < cfg.target_size:
-        fresh = k
+    for fresh in range(1, cfg.target_size):
         if rng.next() < attach_cut:
             # fresh probe crossing out of an exposed element; the target
             # keeps its exposure, the new element is a probe
             q = _pick(rng, exposed)
-            b = BurlingSet(
-                b.elements | {fresh}, b.prec, b.adj | {(fresh, q)}
-            )
+            adj.add((fresh, q))
             probes.discard(q)
             probes.add(fresh)
             exposed.add(fresh)
         elif rng.next() < inner_cut:
-            # fold a probe subset under a fresh enclosing element
+            # fold a probe subset under a fresh enclosing element: the chosen
+            # probes cross out of it, every other element nests inside it
             chosen = {p for p in sorted(probes) if rng.coin()}
             if not chosen:
                 chosen = {_pick(rng, probes)}
-            piece = BurlingSet(
-                chosen | {fresh}, (), {(p, fresh) for p in chosen}
-            )
-            b = inner_join(b, piece, {fresh})
+            prec.update((x, fresh) for x in range(fresh) if x not in chosen)
+            adj.update((p, fresh) for p in chosen)
             probes = set(chosen)
             roots = {fresh}
             exposed = set(chosen) | {fresh}
         else:
             # give a root a fresh crossing target; the root stays exposed
             q = _pick(rng, roots)
-            piece = BurlingSet({q, fresh}, (), {(q, fresh)})
-            b = outer_join(b, piece, q)
+            adj.add((q, fresh))
             roots.discard(q)
             roots.add(fresh)
             exposed.add(fresh)
-        k += 1
 
+    b = BurlingSet(range(cfg.target_size), prec, adj)
     report = verify_axioms(b)
     if not report.ok:
         raise ContractError(f"generator produced a bad set: {report.lines()[0]}")

@@ -45,15 +45,6 @@ class Graph:
         self.edges = frozenset(seen)
         self.adj = tuple(frozenset(a) for a in adj)
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 

@@ -73,7 +73,7 @@ def _element_name(v) -> str:
     raise InputError(f"element name {v!r} must be a string")
 
 
-def _pair_list(raw, key: str, names) -> list:
+def _pair_list(raw, key: str) -> list:
     if not isinstance(raw, list):
         raise InputError(f"{key!r} must be a list of pairs")
     out = []
@@ -98,8 +98,8 @@ def load_burling_json(text: str) -> BurlingSet:
     names = [_element_name(v) for v in raw_elements]
     if len(set(names)) != len(names):
         raise InputError("duplicate element names")
-    prec = _pair_list(doc.get("prec", []), "prec", names)
-    adj = _pair_list(doc.get("adj", []), "adj", names)
+    prec = _pair_list(doc.get("prec", []), "prec")
+    adj = _pair_list(doc.get("adj", []), "adj")
     return BurlingSet(names, prec, adj)
 
 

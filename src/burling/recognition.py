@@ -41,8 +41,8 @@ from array import array
 from dataclasses import dataclass
 
 from .core import BurlingSet, classify_elements, induced_graph, verify_axioms
-from .errors import ContractError
-from .graph import Graph, components, is_triangle_free, nesting_order
+from .errors import ContractError, InputError
+from .graph import Graph, components, is_triangle_free, neighborhood, nesting_order
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,14 @@ def _recognize(g: Graph, debug: bool):
 def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     """The Burling set the dynamic program builds for one subproblem:
     unrooted(S) when root is None, else rooted(root, S); None when it has
-    no solution.  s is a non-empty connected vertex set, as an iterable."""
-    s = set(s)
+    no solution.  s is a non-empty connected vertex set, as an iterable,
+    and root a neighbor of s outside it; anything else is an InputError."""
+    comps = components(g, s)
+    if len(comps) != 1:
+        raise InputError("s must be a non-empty connected vertex set")
+    s = set(comps[0])
+    if root is not None and root not in neighborhood(g, s):
+        raise InputError(f"root {root!r} is not a neighbor of s outside it")
     names = next(c for c in components(g, range(g.n)) if s <= set(c))
     rec = _Recognizer(g, names, debug=False)
     number = {v: i for i, v in enumerate(names)}

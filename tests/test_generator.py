@@ -1,0 +1,142 @@
+"""The generator: the join-based construction it stands for, pinned
+outputs, and a time and memory budget for a large set."""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import burling
+from burling import (
+    BurlingSet,
+    GeneratorConfig,
+    dump_burling_json,
+    gen_burling,
+    inner_join,
+    outer_join,
+)
+from burling.generator import SplitMix64, _pick
+
+
+def _join_reference(cfg: GeneratorConfig) -> BurlingSet:
+    """gen_burling written as Burling's sequence of joins: the same moves
+    and the same random stream, but every step builds a whole new set
+    through inner_join or outer_join, so their contract checks run on
+    every step."""
+    rng = SplitMix64(cfg.seed)
+    attach_cut = int(cfg.probe_bias * (1 << 64))
+    inner_cut = int(cfg.join_mix * (1 << 64))
+
+    b = BurlingSet({0})
+    probes = {0}
+    roots = {0}
+    exposed = {0}
+    k = 1
+
+    while k < cfg.target_size:
+        fresh = k
+        if rng.next() < attach_cut:
+            q = _pick(rng, exposed)
+            b = BurlingSet(b.elements | {fresh}, b.prec, b.adj | {(fresh, q)})
+            probes.discard(q)
+            probes.add(fresh)
+            exposed.add(fresh)
+        elif rng.next() < inner_cut:
+            chosen = {p for p in sorted(probes) if rng.coin()}
+            if not chosen:
+                chosen = {_pick(rng, probes)}
+            piece = BurlingSet(chosen | {fresh}, (), {(p, fresh) for p in chosen})
+            b = inner_join(b, piece, {fresh})
+            probes = set(chosen)
+            roots = {fresh}
+            exposed = set(chosen) | {fresh}
+        else:
+            q = _pick(rng, roots)
+            piece = BurlingSet({q, fresh}, (), {(q, fresh)})
+            b = outer_join(b, piece, q)
+            roots.discard(q)
+            roots.add(fresh)
+            exposed.add(fresh)
+        k += 1
+    return b
+
+
+# (probe_bias, join_mix): the defaults, the benchmark's settings and the
+# extremes, where one kind of move never or always happens
+_SETTINGS = ((0.5, 0.5), (0.8, 0.2), (0.3, 0.8), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("probe_bias, join_mix", _SETTINGS)
+def test_matches_the_join_reference(probe_bias, join_mix):
+    # 40 seeds x 6 sizes per setting, 1440 configurations in all; the
+    # axioms of each set are checked by gen_burling itself
+    for seed, size in itertools.product(range(40), (1, 2, 5, 24, 48, 112)):
+        cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
+        assert gen_burling(cfg) == _join_reference(cfg), cfg
+
+
+def test_builds_one_set_per_call(monkeypatch):
+    # no per-step rebuild: each join would build a set of its own
+    calls = []
+    init = BurlingSet.__init__
+    monkeypatch.setattr(BurlingSet, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    gen_burling(GeneratorConfig(seed=3, target_size=60))
+    assert len(calls) == 1
+
+
+# SHA-256 of dump_burling_json(gen_burling(cfg)), recorded with the
+# join-based generator, which built a new set at every step
+PINS = (
+    (GeneratorConfig(1, 200), "a8db738587d01d2852a5615a544e0865ab6dd51306c41672449875f3a97825a9"),
+    (
+        GeneratorConfig(7, 112, probe_bias=0.3, join_mix=0.8),
+        "1c873626746240ba25aab2f3d010f06c9f18a257bc72f234aec85f3363c099a8",
+    ),
+    (
+        GeneratorConfig(1009, 64, probe_bias=0.8, join_mix=0.2),
+        "42173a796b21cbcc79b8314d7f7899c09d96f3951eb36f996504486b59e23448",
+    ),
+)
+
+
+@pytest.mark.parametrize("cfg, digest", PINS)
+def test_output_is_pinned(cfg, digest):
+    text = dump_burling_json(gen_burling(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_GEN_CHILD = """
+import resource
+from burling import GeneratorConfig, gen_burling
+b = gen_burling(GeneratorConfig(seed=1, target_size=1000))
+print(len(b.elements), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_large_set_within_memory_and_time_budget():
+    # A child process generates the set, so the peak resident size it
+    # reports (KiB on Linux) is that run's alone.
+    pytest.importorskip("resource")
+    src = str(Path(burling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _GEN_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    elapsed = time.perf_counter() - start
+    size, peak_kib = out.stdout.split()
+    assert size == "1000"
+    assert int(peak_kib) < 150 * 1024
+    assert elapsed < 10.0

@@ -17,6 +17,7 @@ from burling import (
     ContractError,
     GeneratorConfig,
     Graph,
+    InputError,
     gen_burling,
     induced_graph,
     recognize,
@@ -139,6 +140,26 @@ def test_unrooted_star():
     assert b is not None
     assert verify_axioms(b).ok
     assert induced_graph(b).adj == g.adj
+
+
+_P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "g, root, s, match",
+    [
+        (_P4, None, [], "non-empty connected"),
+        (Graph(4, [(0, 1), (2, 3)]), None, [1, 2], "non-empty connected"),  # two components
+        (_P4, None, [0, 2], "non-empty connected"),  # one component, s not connected
+        (_P4, None, [1, 7], "out of range"),
+        (_P4, 1, [1, 2], "not a neighbor"),  # the root inside s
+        (_P4, 0, [2, 3], "not a neighbor"),  # the root away from s
+        (_P4, 9, [2, 3], "not a neighbor"),
+    ],
+)
+def test_subproblem_structure_rejects_malformed_arguments(g, root, s, match):
+    with pytest.raises(InputError, match=match):
+        subproblem_structure(g, root, s)
 
 
 def test_debug_mode_asserts_solutions():
