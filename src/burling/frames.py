@@ -53,20 +53,6 @@ class Frame:
         if not self.b < self.t:
             raise InputError(f"frame {self.id!r}: bottom must be below top")
 
-    def corners(self):
-        return (
-            (self.l, self.b),
-            (self.l, self.t),
-            (self.r, self.b),
-            (self.r, self.t),
-        )
-
-
-def _point_on_frame(x, y, f: Frame) -> bool:
-    on_vertical = x in (f.l, f.r) and f.b <= y <= f.t
-    on_horizontal = y in (f.b, f.t) and f.l <= x <= f.r
-    return on_vertical or on_horizontal
-
 
 class FrameFamily:
     """Frames with distinct ids, in general position.
@@ -75,6 +61,16 @@ class FrameFamily:
     every intersection of two boundaries is then a clean crossing of edge
     segments, so intersection and nesting are decided by coordinate
     comparisons alone.
+
+    Stated on sides: on every vertical line x = v and every horizontal line
+    y = v, the sides of different frames that lie on it are pairwise
+    disjoint.  A corner of f on g lies on a side of g and on the side of f
+    along the same line; conversely two collinear sides meet exactly when an
+    end of one, a corner, lies on the other.  A frame's two parallel sides
+    never share a line, since l < r and b < t.  The check sorts the sides by
+    line and start and compares neighbours only: if no side meets the next
+    one on its line, each side ends before the next starts, so no two sides
+    on the line meet.
     """
 
     __slots__ = ("frames",)
@@ -86,15 +82,25 @@ class FrameFamily:
             if f.id in seen:
                 raise InputError(f"duplicate frame id {f.id!r}")
             seen.add(f.id)
-        for f in frames:
-            for g in frames:
-                if f.id == g.id:
-                    continue
-                for x, y in f.corners():
-                    if _point_on_frame(x, y, g):
-                        raise InputError(
-                            f"corner ({x}, {y}) of frame {f.id!r} lies on frame {g.id!r}"
-                        )
+        # (axis, line, start, end, index): axis 0 is vertical sides on
+        # x = line, axis 1 horizontal sides on y = line.
+        sides = sorted(
+            side
+            for i, f in enumerate(frames)
+            for side in (
+                (0, f.l, f.b, f.t, i),
+                (0, f.r, f.b, f.t, i),
+                (1, f.b, f.l, f.r, i),
+                (1, f.t, f.l, f.r, i),
+            )
+        )
+        for (axis, v, _, end, i), (axis2, v2, start, _, j) in zip(sides, sides[1:]):
+            if (axis2, v2) == (axis, v) and start <= end:
+                x, y = (v, start) if axis == 0 else (start, v)
+                raise InputError(
+                    f"corner ({x}, {y}) of frame {frames[j].id!r} "
+                    f"lies on frame {frames[i].id!r}"
+                )
         self.frames = tuple(frames)
 
     def __iter__(self):
@@ -270,7 +276,9 @@ def vertical_order(b: BurlingSet) -> dict:
     """Map each element to its (bottom, top) coordinates, values 1..2|S|.
 
     Every non-root element has a unique parent: the nearest element above it
-    in the combined relation.  Bottom and top are DFS enter and exit times
+    in the combined relation.  In a chordal relation, which every valid set
+    has, the targets of x form a chain, so the parent is the first of them
+    in topological order.  Bottom and top are DFS enter and exit times
     on that forest, visiting roots and children in ascending element order,
     so related elements nest and unrelated ones get disjoint spans.
     """
@@ -287,19 +295,11 @@ def vertical_order(b: BurlingSet) -> dict:
             roots.append(x)
             continue
         chain = sorted(targets, key=lambda z: rank_of[z])
-        if all(chain[k + 1] in out_rel[chain[k]] for k in range(len(chain) - 1)):
-            parent = chain[0]
-        else:
-            candidates = [
-                z for z in chain
-                if not any(z in out_rel[y] for y in targets if y != z)
-            ]
-            if len(candidates) != 1:
-                raise ContractError(
-                    f"element {x!r} has {len(candidates)} parents in the relation forest"
-                )
-            parent = candidates[0]
-        children[parent].append(x)
+        if any(chain[k + 1] not in out_rel[chain[k]] for k in range(len(chain) - 1)):
+            raise ContractError(
+                f"element {x!r} has no unique parent: its targets are not a chain"
+            )
+        children[chain[0]].append(x)
 
     vals = {}
     clock = 1

@@ -2,8 +2,9 @@
 
 Vertices are the integers 0..n-1.  Besides the graph type itself this module
 carries the set machinery the recognizer is built on: neighborhoods of vertex
-sets, connected components of induced subgraphs, triangle detection,
-homogeneity of one set toward another, and nesting orders of set families.
+sets, connected components of induced subgraphs, triangle detection, and
+nesting orders of set families, which rest on homogeneity of one set toward
+another.
 """
 
 from __future__ import annotations
@@ -128,15 +129,6 @@ def _homogeneous(g: Graph, s_prime: frozenset, s: frozenset) -> bool:
     return True
 
 
-def is_homogeneous(g: Graph, s_prime: Iterable[int], s: Iterable[int]) -> bool:
-    """True iff every x in s sees either all of s_prime or none of it."""
-    sp = _as_vertex_set(g, s_prime)
-    ss = _as_vertex_set(g, s)
-    if sp & ss:
-        raise InputError("homogeneity test requires disjoint sets")
-    return _homogeneous(g, sp, ss)
-
-
 def nesting_order(
     g: Graph, family: list[Iterable[int]]
 ) -> Optional[frozenset[tuple[int, int]]]:
@@ -161,7 +153,12 @@ def nesting_order(
         for j in range(i + 1, len(sets)):
             if sets[i] & sets[j]:
                 raise InputError(f"family members {i} and {j} overlap")
-    nbs = [frozenset(neighborhood(g, c)) for c in sets]
+    nbs = []
+    for c in sets:
+        acc = set()
+        for v in c:
+            acc |= g.adj[v]
+        nbs.append(frozenset(acc - c))
     order = set()
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import random
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import burling
 from burling import (
     BurlingSet,
     Frame,
@@ -59,11 +68,61 @@ def test_family_rejects_duplicate_ids():
 
 def test_family_rejects_corner_on_frame():
     # corner (4, 2) of the second frame lies on the right edge of the first
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^corner \(4, 2\) of frame 'y' lies on frame 'x'$"):
         FrameFamily([Frame("x", 0, 4, 0, 4), Frame("y", 4, 8, 2, 6)])
     # sharing a full corner point counts too
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^corner \(4, 4\) of frame 'y' lies on frame 'x'$"):
         FrameFamily([Frame("x", 0, 4, 0, 4), Frame("y", 4, 8, 4, 8)])
+
+
+def _corners(f: Frame):
+    return ((f.l, f.b), (f.l, f.t), (f.r, f.b), (f.r, f.t))
+
+
+def _point_on_frame(x, y, f: Frame) -> bool:
+    on_vertical = x in (f.l, f.r) and f.b <= y <= f.t
+    on_horizontal = y in (f.b, f.t) and f.l <= x <= f.r
+    return on_vertical or on_horizontal
+
+
+def _in_general_position(frames) -> bool:
+    """The definition, corner by corner: no corner of one frame lies on
+    another frame."""
+    return not any(
+        _point_on_frame(x, y, g)
+        for f in frames
+        for g in frames
+        if g is not f
+        for x, y in _corners(f)
+    )
+
+
+def test_general_position_matches_corner_by_corner_reference():
+    # Coordinates from 0..5 make shared lines, touching sides and shared
+    # corners common, so both verdicts occur often.
+    rng = random.Random(5)
+    accepted = rejected = 0
+    for _ in range(20000):
+        frames = []
+        for i in range(rng.randint(1, 6)):
+            l, r = sorted(rng.sample(range(6), 2))
+            b, t = sorted(rng.sample(range(6), 2))
+            frames.append(Frame(i, l, r, b, t))
+        try:
+            fam = FrameFamily(frames)
+        except InputError as e:
+            rejected += 1
+            assert not _in_general_position(frames), frames
+            m = re.fullmatch(r"corner \((\d+), (\d+)\) of frame (\d+) lies on frame (\d+)", str(e))
+            assert m, str(e)
+            x, y, a, c = map(int, m.groups())
+            assert (x, y) in _corners(frames[a])
+            assert c != a and _point_on_frame(x, y, frames[c])
+        else:
+            accepted += 1
+            assert _in_general_position(frames), frames
+            assert list(fam) == frames
+    assert accepted > 2000 and rejected > 2000
 
 
 def test_family_accepts_shared_coordinate_values():
@@ -193,3 +252,60 @@ def test_vertical_multi_parent_is_contract_error():
     bad = BurlingSet("xyz", prec=[("x", "y"), ("x", "z")])
     with pytest.raises(ContractError):
         vertical_order(bad)
+
+
+def test_vertical_targets_not_a_chain_is_contract_error():
+    # Not a valid set: element 5's targets are 1, 2 and 3, and 2 lies directly
+    # below the other two, but no pair relates 1 and 3: no chain.
+    bad = BurlingSet(
+        range(6),
+        prec=[(0, 3), (2, 0), (2, 3), (5, 1)],
+        adj=[(1, 0), (2, 1), (5, 2), (5, 3)],
+    )
+    with pytest.raises(ContractError, match="element 5"):
+        vertical_order(bad)
+
+
+_FRAMES_CHILD = """
+import resource
+from burling import (
+    Frame, FrameFamily, GeneratorConfig, build_frames, dump_burling_json,
+    dump_frames_json, extract_burling, gen_burling, load_burling_json,
+    load_frames_json, verify_strict,
+)
+b = gen_burling(GeneratorConfig(seed=1, target_size=1000))
+fam = load_frames_json(dump_frames_json(build_frames(b)))
+# The JSON round trip turns ids into strings.
+round_trip = verify_strict(fam).ok and (
+    extract_burling(fam) == load_burling_json(dump_burling_json(b))
+)
+# A 200 x 100 grid of disjoint frames: every line carries 100 or 200 sides.
+grid = FrameFamily(
+    Frame(i, 3 * (i % 200), 3 * (i % 200) + 2, 3 * (i // 200), 3 * (i // 200) + 2)
+    for i in range(20000)
+)
+print(round_trip, len(grid), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_large_families_within_memory_and_time_budget():
+    # A child process runs the round trip, so the peak resident size it
+    # reports (KiB on Linux) is that run's alone.
+    pytest.importorskip("resource")
+    src = str(Path(burling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", _FRAMES_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    elapsed = time.perf_counter() - start
+    round_trip, size, peak_kib = out.stdout.split()
+    assert round_trip == "True"
+    assert size == "20000"
+    assert int(peak_kib) < 200 * 1024
+    assert elapsed < 10.0

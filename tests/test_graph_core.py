@@ -6,7 +6,6 @@ import pytest
 
 from burling import Graph, components, is_triangle_free, neighborhood, nesting_order
 from burling.errors import InputError
-from burling.graph import is_homogeneous
 
 
 def _p4():
@@ -54,13 +53,12 @@ def test_triangle_detection():
 
 
 def test_homogeneous_sets():
-    # K1,3: the leaves all see exactly the center
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert is_homogeneous(g, [0], [1, 2, 3])
-    g2 = _p4()
-    assert not is_homogeneous(g2, [1, 2], [0, 3])
-    with pytest.raises(InputError):
-        is_homogeneous(g2, [0, 1], [1, 2])
+    # N({0}) = {1, 4} is a proper subset of N({2, 5}) = {1, 3, 4}, so the
+    # family is nested exactly when each of 2 and 5 sees all of {1, 4} or none.
+    edges = [(0, 1), (0, 4), (2, 1), (2, 4), (2, 3), (5, 3)]
+    assert nesting_order(Graph(6, edges), [[0], [2, 5]]) == frozenset({(0, 1)})
+    # 5 also sees 1 but not 4
+    assert nesting_order(Graph(6, edges + [(5, 1)]), [[0], [2, 5]]) is None
 
 
 def test_nesting_order_disjoint_neighborhoods():
