@@ -3,8 +3,8 @@
 The combined relation of a Burling set is chordal in the oriented sense:
 both out-targets of any element are themselves related.  A topological
 order of the relation is therefore a perfect elimination order of the graph
-whose edges are the related pairs, and Frank's two-phase greedy solves
-weighted independent set on that graph exactly.
+whose edges are the related pairs, and Frank's two-phase greedy (A. Frank,
+1975) solves weighted independent set on that graph exactly.
 
 solve_indep lifts this to the Burling graph itself (edges are only the adj
 pairs): each element u carries the optimal solution inside its prec-cone
@@ -12,11 +12,33 @@ pairs): each element u carries the optimal solution inside its prec-cone
 the whole relation combines the cones.  Elements of a selected cone are
 nested inside u, hence non-adjacent to everything the top solution keeps.
 
-The relation maps and the topological order come from the set's relation
-index (see core.BurlingSet).  solve_indep checks weights and chordality
-once, through chordal_relation, and then runs the greedy on each cone's
-sub-relation cut from the index maps; it does not call mwis_chordal, which
-keeps every check for relations from outside.
+By prec-out-chain every element's prec-targets form a chain, so prec is the
+ancestor relation of its cover forest and the cone of u is u's subtree
+minus u.  solve_indep works on that forest:
+
+  - one global order: the set's topological order b._topo (see the
+    relation index in core.BurlingSet) restricted to a cone is a
+    topological order of the cone, so a cone's members are only sorted by
+    their positions in it;
+  - prec through the forest: in the greedy's first phase the deductions
+    along prec reach an element as the sum of the residuals marked in its
+    children's subtrees, passed up one parent at a time, and in the second
+    phase an element with a chosen element above it is skipped by looking
+    at its parent alone;
+  - adj as it is: by adj-target-enclosed no adj-target leaves a cone, so
+    only out_adj is walked.
+
+A cone therefore costs O(|cone| log |cone| + its adj out-degrees), the log
+for cutting its order out of the global one, rather than a topological
+sort of its own and a walk over every member's whole prec chain.  The
+greedy's choices do not depend on which topological order it follows (an
+element's residual is settled by its in-neighbours, its choice by its
+out-targets, and every topological order handles those first), so the
+results are those of the greedy run on each cone's full sub-relation.
+
+solve_indep checks weights and chordality once, through chordal_relation,
+and checks that prec is a forest while building it; it does not call
+mwis_chordal, which keeps every check for relations from outside.
 
 Weights are nonnegative integers.
 """
@@ -49,22 +71,33 @@ def chordal_relation(b: BurlingSet) -> frozenset:
     """
     if b._topo is None:
         raise ContractError("combined relation has a cycle")
-    gap = _unrelated_targets(b._order, b._rel_maps[0])
+    gap = _unrelated_targets(b._topo, b._rel_maps[0])
     if gap is not None:
         x, y, z = gap
         raise ContractError(f"out-targets {y!r}, {z!r} of {x!r} are unrelated")
     return b.prec | b.adj
 
 
-def _unrelated_targets(order, out):
-    """The first element x, in the given order, with two out-targets y < z
-    related in neither direction, as (x, y, z); None if there is none."""
-    for x in order:
-        ts = sorted(out[x])
-        for i, y in enumerate(ts):
-            for z in ts[i + 1:]:
-                if z not in out[y] and y not in out[z]:
-                    return x, y, z
+def _unrelated_targets(topo, out):
+    """An element x with two out-targets y, z related in neither direction,
+    as (x, y, z); None if there is none.  topo is a topological order of the
+    acyclic relation given by out.
+
+    Every related pair points forward in topo, so it is enough that the
+    first out-target of each element has all the others as out-targets
+    (the elimination order test of Rose, Tarjan and Lueker, 1976): an
+    element whose targets fail to be pairwise related, taken last in topo,
+    would otherwise pass its unrelated pair on to its first target.
+    """
+    pos = {x: i for i, x in enumerate(topo)}
+    for x in topo:
+        ts = out[x]
+        if len(ts) > 1:
+            y = min(ts, key=pos.__getitem__)
+            missing = ts - out[y]  # y itself, on an acyclic relation
+            if len(missing) > 1:
+                missing.discard(y)
+                return x, y, min(missing, key=pos.__getitem__)
     return None
 
 
@@ -101,57 +134,114 @@ def mwis_chordal(elements, rel, weights) -> tuple:
         if a not in out or c not in out:
             raise InputError(f"relation pair ({a!r}, {c!r}) leaves the element set")
         out[a].add(c)
-    gap = _unrelated_targets(order, out)
-    if gap is not None:
-        raise ContractError(f"relation is not chordal at {gap[0]!r}")
     peo = _topo_sort(order, out)
     if peo is None:
         raise ContractError("combined relation has a cycle")
+    gap = _unrelated_targets(peo, out)
+    if gap is not None:
+        raise ContractError(f"relation is not chordal at {gap[0]!r}")
     return _two_phase(peo, out, weights)
+
+
+def _cover_forest(topo, out_prec, pos) -> dict:
+    """Each element's parent in prec's cover forest, None at a root.
+
+    The parent is the lowest prec-target, the first in topo; the other
+    prec-targets must be exactly the parent's, or prec is not the ancestor
+    relation of a forest.
+    """
+    parent = {}
+    for x in topo:
+        ups = out_prec[x]
+        if not ups:
+            parent[x] = None
+            continue
+        p = min(ups, key=pos.__getitem__)
+        if len(ups) != len(out_prec[p]) + 1 or not ups.issuperset(out_prec[p]):
+            raise ContractError(
+                f"prec-targets of {x!r} are not {p!r} and the prec-targets of {p!r}"
+            )
+        parent[x] = p
+    return parent
+
+
+def _cone_greedy(order, parent, out_adj, boosted) -> tuple:
+    """Frank's two-phase greedy on the relation restricted to a cone, or to
+    all elements, given in topological order.  Returns (set chosen, its
+    boosted weight).
+
+    An element's prec-targets inside the cone are its ancestors inside it,
+    so its prec deduction is the sum of the residuals marked in its subtree,
+    and it is blocked along prec when a chosen element lies above it.  A
+    member whose parent lies outside the order (the cone's own element, or
+    none at a root) passes its sum to a key that is never read.
+    """
+    cut = {}  # adj deductions: residuals marked at adj in-neighbours
+    below = {}  # residuals marked in the subtree, the element excluded
+    marked = set()
+    for x in order:
+        s = below.get(x, 0)
+        r = boosted[x] - s - cut.get(x, 0)
+        if r > 0:
+            marked.add(x)
+            s += r
+            for y in out_adj[x]:
+                cut[y] = cut.get(y, 0) + r
+        if s:
+            p = parent[x]
+            below[p] = below.get(p, 0) + s
+    chosen = set()
+    covered = set()  # elements with a chosen element at or above them
+    for x in reversed(order):
+        if parent[x] in covered:
+            covered.add(x)
+        elif x in marked and chosen.isdisjoint(out_adj[x]):
+            chosen.add(x)
+            covered.add(x)
+    return chosen, sum(boosted[x] for x in chosen)
 
 
 def solve_indep(b: BurlingSet, weights) -> tuple:
     """Maximum-weight independent set of the Burling graph of b.
 
-    Returns (frozenset of elements, weight).  Bottom-up over prec-cones:
-    the cone of u is solved before u because it is strictly smaller than
-    any cone containing u.
+    Returns (frozenset of elements, weight).  Bottom-up over prec-cones in
+    topological order: the cone of u lies before u, so each of its members
+    has its own cone solved already.
     """
     _check_weights(b._order, weights)
     chordal_relation(b)
-    _, in_prec = b._prec_maps
-    out_adj, in_adj = b._adj_maps
-    out_rel, _ = b._rel_maps
+    topo = b._topo
+    pos = {x: i for i, x in enumerate(topo)}
+    out_prec, in_prec = b._prec_maps
+    out_adj, _ = b._adj_maps
+    parent = _cover_forest(topo, out_prec, pos)
 
-    memo = {}  # u -> (expanded solution inside the cone of u, its weight)
-
-    def cone_solve(peo, out):
-        for x in peo:
-            if x not in memo:
-                # only reachable when prec is not transitive
-                raise ContractError(f"cone of {x!r} was not solved first")
-        boosted = {x: weights[x] + memo[x][1] for x in peo}
-        core, total = _two_phase(peo, out, boosted)
-        full = set(core)
-        for x in core:
-            full.update(memo[x][0])
-        return frozenset(full), total
-
-    # A cone's sub-relation of the chordal acyclic relation is again
-    # chordal and acyclic, so cones are solved without a further check.
-    for u in sorted(b._order, key=lambda x: len(in_prec[x])):
+    inner = {}  # u -> elements chosen in the cone of u, their cones not expanded
+    boosted = {}  # u -> weight of u plus the optimum inside its cone
+    for u in topo:
         cone = in_prec[u]
-        out = {x: out_rel[x] & cone for x in cone}
-        memo[u] = cone_solve(_topo_sort(cone, out), out)
+        total = 0
+        if cone:
+            order = sorted(cone, key=pos.__getitem__)
+            inner[u], total = _cone_greedy(order, parent, out_adj, boosted)
+        boosted[u] = weights[u] + total
 
-    result, total = cone_solve(b._topo, out_rel)
+    top, total = _cone_greedy(topo, parent, out_adj, boosted)
+    # Chosen elements are pairwise unrelated, so their cones are disjoint
+    # subtrees and every element is expanded at most once.
+    result = set(top)
+    stack = list(top)
+    while stack:
+        sub = inner.get(stack.pop(), ())
+        result.update(sub)
+        stack.extend(sub)
     for x in result:
-        bad = (out_adj[x] | in_adj[x]) & result
+        bad = out_adj[x] & result
         if bad:
             raise ContractError(
                 f"solution contains the adjacent pair {x!r}, {sorted(bad)[0]!r}"
             )
-    return result, total
+    return frozenset(result), total
 
 
 def max_weight_independent_set(g: Graph, weights):

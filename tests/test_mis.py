@@ -1,11 +1,17 @@
-"""Maximum-weight independent set solvers."""
+"""Maximum-weight independent set solvers, checked against brute force, a
+per-cone reference, a linear path DP and a time and memory budget."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burling
 from burling import (
     BurlingSet,
     Graph,
@@ -18,7 +24,10 @@ from burling import (
     mwis_chordal,
     solve_indep,
 )
+from burling import core, mis
+from burling.core import _topo_sort
 from burling.errors import ContractError, InputError
+from burling.mis import _two_phase, _unrelated_targets
 
 
 def fig3_set():
@@ -175,6 +184,205 @@ def test_solve_indep_matches_brute_force():
         idx = {x: i for i, x in enumerate(order)}
         g = induced_graph(b)
         assert w == brute_force_mwis(g, {idx[x]: weights[x] for x in order})[1]
+
+
+@pytest.mark.parametrize(
+    "b, forest_check",
+    [
+        (BurlingSet("xyz", prec=[("x", "y"), ("x", "z")]), False),
+        (BurlingSet("xyz", prec=[("x", "y"), ("x", "z")], adj=[("y", "z")]), True),
+    ],
+    ids=["targets-unrelated", "targets-related-by-adj"],
+)
+def test_solve_indep_rejects_prec_that_is_not_a_forest(b, forest_check):
+    # prec is transitive, but y and z are incomparable prec-targets of x.
+    # Related by adj, they pass the chordality check and leave it to the
+    # forest check.
+    if forest_check:
+        chordal_relation(b)
+    with pytest.raises(ContractError, match="out-targets|prec-targets of 'x'"):
+        solve_indep(b, _unit("xyz"))
+
+
+def _pairwise_gap(order, out):
+    """Reference chordality test over all target pairs: the first element
+    x, in the given order, with two out-targets y < z related in neither
+    direction, as (x, y, z); None if there is none."""
+    for x in order:
+        ts = sorted(out[x])
+        for i, y in enumerate(ts):
+            for z in ts[i + 1:]:
+                if z not in out[y] and y not in out[z]:
+                    return x, y, z
+    return None
+
+
+def _random_acyclic(rng, k):
+    """Relation digraph with each forward pair of a random order present
+    with one random probability."""
+    rank = list(range(k))
+    rng.shuffle(rank)
+    p = rng.random()
+    out = {v: set() for v in range(k)}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < p:
+                out[rank[i]].add(rank[j])
+    return out
+
+
+def test_positional_chordality_matches_pairwise():
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for _ in range(4000):
+        k = rng.randrange(1, 9)
+        if rng.randrange(2):
+            rel = _random_chordal(rng, k)
+            if rel and rng.randrange(2):
+                rel.discard(rng.choice(sorted(rel)))
+            out = {v: set() for v in range(k)}
+            for a, c in rel:
+                out[a].add(c)
+        else:
+            out = _random_acyclic(rng, k)
+        topo = _topo_sort(range(k), out)
+        gap = _unrelated_targets(topo, out)
+        assert (gap is None) == (_pairwise_gap(range(k), out) is None)
+        if gap is not None:
+            x, y, z = gap
+            assert y != z and {y, z} <= out[x]
+            assert z not in out[y] and y not in out[z]
+        verdicts[gap is None] += 1
+    assert min(verdicts.values()) > 500
+
+
+def _per_cone_reference(b, weights):
+    """Reference solver without the cover forest: the pairwise chordality
+    check, then for every cone a copy of the relation restricted to it, a
+    Kahn sort and the two-phase greedy, each cone's solution expanded in
+    full."""
+    order = sorted(b.elements)
+    out = {x: set() for x in order}
+    in_prec = {x: set() for x in order}
+    for x, y in b.prec:
+        out[x].add(y)
+        in_prec[y].add(x)
+    for x, y in b.adj:
+        out[x].add(y)
+    topo = _topo_sort(order, out)
+    assert topo is not None and _pairwise_gap(order, out) is None
+    memo = {}
+
+    def cone_solve(peo, sub):
+        boosted = {x: weights[x] + memo[x][1] for x in peo}
+        core, total = _two_phase(peo, sub, boosted)
+        full = set(core)
+        for x in core:
+            full.update(memo[x][0])
+        return frozenset(full), total
+
+    for u in sorted(order, key=lambda x: len(in_prec[x])):
+        cone = in_prec[u]
+        sub = {x: out[x] & cone for x in cone}
+        memo[u] = cone_solve(_topo_sort(cone, sub), sub)
+    return cone_solve(topo, out)
+
+
+@pytest.mark.parametrize("probe_bias", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("join_mix", [0.2, 0.5, 0.8])
+def test_solve_indep_matches_per_cone_reference(probe_bias, join_mix):
+    # Small weight ranges make ties common, where a greedy could pick
+    # another set of the same weight.
+    rng = random.Random(f"cones:{probe_bias}:{join_mix}")
+    for seed in range(20):
+        size = rng.randrange(2, 121)
+        cfg = GeneratorConfig(seed, size, probe_bias=probe_bias, join_mix=join_mix)
+        b = gen_burling(cfg)
+        for top in (1, 4, 99):
+            weights = {x: rng.randint(0, top) for x in b.ordered()}
+            assert solve_indep(b, weights) == _per_cone_reference(b, weights)
+
+
+def test_solve_indep_matches_per_cone_reference_on_benchmark_shape():
+    # The sizes and generator settings of the benchmark's indep workload.
+    rng = random.Random("cones:indep")
+    for n in (16, 20, 36, 44, 52):
+        for _ in range(20):
+            cfg = GeneratorConfig(rng.getrandbits(63), n, probe_bias=0.3, join_mix=0.8)
+            b = gen_burling(cfg)
+            weights = {x: rng.randrange(100) for x in b.ordered()}
+            assert solve_indep(b, weights) == _per_cone_reference(b, weights)
+
+
+def test_solve_indep_sorts_topologically_once(monkeypatch):
+    # Cones take their order from the set's one topological order.
+    calls = []
+
+    def counting(nodes, succ):
+        calls.append(len(nodes))
+        return _topo_sort(nodes, succ)
+
+    monkeypatch.setattr(core, "_topo_sort", counting)
+    monkeypatch.setattr(mis, "_topo_sort", counting)
+    b = gen_burling(GeneratorConfig(seed=3, target_size=60))
+    fresh = BurlingSet(b.elements, b.prec, b.adj)
+    solve_indep(fresh, _unit(fresh.elements))
+    assert calls == [60]
+
+
+def _path_mwis(ws):
+    """Maximum total weight of an independent set of a path, by the linear
+    dynamic program over its vertices in order."""
+    take = skip = 0
+    for w in ws:
+        take, skip = skip + w, max(take, skip)
+    return max(take, skip)
+
+
+_SOLVE_CHILD = """
+import resource, time
+from burling import GeneratorConfig, Graph, gen_burling, recognize, solve_indep
+b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
+weights = {x: x * 7919 % 100 for x in b.ordered()}
+start = time.perf_counter()
+sel, total = solve_indep(b, weights)
+gen_s = time.perf_counter() - start
+ok = total == sum(weights[x] for x in sel)
+ok = ok and not any(a in sel and c in sel for a, c in b.adj)
+del b, sel
+n = 1000
+w = recognize(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+start = time.perf_counter()
+sel, total = solve_indep(w, {i: i * 7919 % 100 for i in range(n)})
+path_s = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(ok, gen_s, path_s, total, peak)
+"""
+
+
+def test_large_sets_within_memory_and_time_budget():
+    # An n = 2000 generated set, and the witness of a 1000-vertex path:
+    # its prec holds n^2/4 pairs and its cones are the deepest for their
+    # size.  A child process runs the solves, so the peak resident size it
+    # reports (KiB on Linux) is that run's alone; generating the set takes
+    # most of it.
+    pytest.importorskip("resource")
+    src = str(Path(burling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _SOLVE_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    ok, gen_s, path_s, total, peak_kib = out.stdout.split()
+    assert ok == "True"
+    assert int(total) == _path_mwis([i * 7919 % 100 for i in range(1000)])
+    assert float(gen_s) < 10.0
+    assert float(path_s) < 10.0
+    assert int(peak_kib) < 300 * 1024
 
 
 def test_graph_level_weight_keys():
