@@ -72,9 +72,9 @@ class BurlingSet:
 
     # The relation index: structures derived from the relations, each built
     # on first use and kept for the life of the immutable set.  Maps come in
-    # (out, in) pairs, x -> {y : x R y} and y -> {x : x R y}, for R = prec,
-    # adj and their union; callers must not modify the sets.  Nothing here
-    # assumes the axioms.
+    # (out, in) pairs, x -> {y : x R y} and y -> {x : x R y}, for R = prec
+    # and adj; callers must not modify the sets.  Only _forest assumes an
+    # axiom's consequence, and raises ContractError where it fails.
 
     @cached_property
     def _order(self) -> tuple:
@@ -89,14 +89,18 @@ class BurlingSet:
         return _maps(self.elements, self.adj)
 
     @cached_property
-    def _rel_maps(self) -> tuple:
-        return _maps(self.elements, self.prec | self.adj)
-
-    @cached_property
-    def _topo(self):
-        """The smallest-id-first topological order of prec ∪ adj, or None
-        when the combined relation has a cycle."""
-        return _topo_sort(self._order, self._rel_maps[0])
+    def _forest(self) -> tuple:
+        """(topo, parent) for the combined relation prec ∪ adj: its
+        smallest-id-first topological order, and each element's first
+        out-target in that order, None at a root.  The relation must be
+        chordal, as the axioms make it; then every out-target of an element
+        is one of its ancestors in the parent forest."""
+        out_prec, out_adj = self._prec_maps[0], self._adj_maps[0]
+        out = {x: out_prec[x] | out_adj[x] for x in self._order}
+        topo = _topo_sort(self._order, out)
+        if topo is None:
+            raise ContractError("combined relation has a cycle")
+        return topo, _chordal_forest(topo, out)
 
 
 def _maps(elements, pairs) -> tuple:
@@ -127,6 +131,36 @@ def _topo_sort(nodes, succ):
             if indeg[y] == 0:
                 heapq.heappush(heap, y)
     return tuple(order) if len(order) == len(indeg) else None
+
+
+def _chordal_forest(topo, out) -> dict:
+    """Each element's first out-target in topo, None when it has none.
+    topo is a topological order of the acyclic relation given by out.
+
+    The relation is chordal when the out-targets of every element are
+    pairwise related.  Every related pair points forward in topo, so it is
+    enough that the first out-target of each element has all the others as
+    out-targets (the elimination order test of Rose, Tarjan and Lueker,
+    1976): an element whose targets fail to be pairwise related, taken last
+    in topo, would otherwise pass its unrelated pair on to its first
+    target.  Raises ContractError naming x and an unrelated pair y, z of
+    its out-targets at the first such x in topo.
+    """
+    pos = {x: i for i, x in enumerate(topo)}
+    parent = {}
+    for x in topo:
+        ts = out[x]
+        if not ts:
+            parent[x] = None
+            continue
+        y = min(ts, key=pos.__getitem__)
+        missing = ts - out[y]  # y itself, on an acyclic relation
+        if len(missing) > 1:
+            missing.discard(y)
+            z = min(missing, key=pos.__getitem__)
+            raise ContractError(f"out-targets {y!r}, {z!r} of {x!r} are unrelated")
+        parent[x] = y
+    return parent
 
 
 def _check_pairs(pairs, elements, label):

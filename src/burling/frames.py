@@ -13,10 +13,9 @@ build_frames realizes a Burling set as such a family with integer
 coordinates 1..2|S| per axis.  Horizontal coordinates come from a
 topological sort of a constraint system over the symbols l_x, r_x; vertical
 coordinates are DFS enter/exit times on the parent forest of the combined
-relation.  Both read the relation maps and the topological order from the
-set's relation index (see core.BurlingSet), and the horizontal system is
-sorted by the same smallest-first Kahn sort.  extract_burling inverts the
-construction for any strict family.
+relation.  Both read the set's relation index (see core.BurlingSet), and
+the horizontal system is sorted by the same smallest-first Kahn sort.
+extract_burling inverts the construction for any strict family.
 """
 
 from __future__ import annotations
@@ -218,45 +217,51 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
     whenever y is related to some z that crosses out of x, x lies entirely
     left of y.  In linear mode that last group is emitted only for the
     prec-maximal crossing, which the others follow from; the constraint
-    count is then linear in |S| plus the relation size.
+    count is then linear in |S| plus the relation size.  Both modes give the
+    same horizontal_order.
     """
     order = b._order
     idx = {x: i for i, x in enumerate(order)}
-    _, in_rel = b._rel_maps
-    out_adj, _ = b._adj_maps
+    out_prec, in_prec = b._prec_maps
+    out_adj, in_adj = b._adj_maps
     cons = set()
     for i in range(len(order)):
         cons.add((2 * i, 2 * i + 1))
-    for a, c in b.prec | b.adj:
+    for a, c in b.prec:
         cons.add((2 * idx[c], 2 * idx[a]))  # l_c < l_a since a rel c
         cons.add((2 * idx[a], 2 * idx[c] + 1))  # l_a < r_c
-    for a, c in b.prec:
         cons.add((2 * idx[a] + 1, 2 * idx[c] + 1))
     for a, c in b.adj:
+        cons.add((2 * idx[c], 2 * idx[a]))
+        cons.add((2 * idx[a], 2 * idx[c] + 1))
         cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
     for z in order:
         targets = out_adj[z]
-        if not targets or not in_rel[z]:
+        if not targets:
             continue
-        if linear:
-            targets = [_prec_max(b, targets)]
+        escapes = in_prec[z] | in_adj[z]
+        if linear and escapes:
+            targets = [_prec_max(out_prec, targets)]
         for x in targets:
-            for y in in_rel[z]:
+            for y in escapes:
                 cons.add((2 * idx[x] + 1, 2 * idx[y]))
     return sorted(cons)
 
 
-def _prec_max(b: BurlingSet, targets) -> object:
+def _prec_max(out_prec, targets) -> object:
     """The prec-greatest member of a set of adj-targets of one element.
 
     Such targets are totally ordered by prec in a valid Burling set.
     """
+    top = next(iter(targets))
     for t in targets:
-        if all(u == t or (u, t) in b.prec for u in targets):
-            return t
-    raise ContractError(
-        f"adjacency targets {sorted(targets)!r} are not totally ordered"
-    )
+        if t in out_prec[top]:
+            top = t
+    if any(u != top and top not in out_prec[u] for u in targets):
+        raise ContractError(
+            f"adjacency targets {sorted(targets)!r} are not totally ordered"
+        )
+    return top
 
 
 def horizontal_order(b: BurlingSet, linear: bool = False) -> dict:
@@ -275,31 +280,23 @@ def horizontal_order(b: BurlingSet, linear: bool = False) -> dict:
 def vertical_order(b: BurlingSet) -> dict:
     """Map each element to its (bottom, top) coordinates, values 1..2|S|.
 
-    Every non-root element has a unique parent: the nearest element above it
-    in the combined relation.  In a chordal relation, which every valid set
-    has, the targets of x form a chain, so the parent is the first of them
-    in topological order.  Bottom and top are DFS enter and exit times
-    on that forest, visiting roots and children in ascending element order,
-    so related elements nest and unrelated ones get disjoint spans.
+    Every non-root element has a unique parent: its parent in the forest of
+    the combined relation (b._forest, see core.BurlingSet), the first of its
+    targets in topological order, and every target is an ancestor.  Bottom
+    and top are DFS enter and exit times on that forest, visiting roots and
+    children in ascending element order, so related elements nest and
+    unrelated ones get disjoint spans.
     """
     order = b._order
-    out_rel, _ = b._rel_maps
-    if b._topo is None:
-        raise ContractError("cycle in the combined relation")
-    rank_of = {x: i for i, x in enumerate(b._topo)}
+    _, parent = b._forest
     roots = []
     children = {x: [] for x in order}
     for x in order:
-        targets = out_rel[x]
-        if not targets:
+        p = parent[x]
+        if p is None:
             roots.append(x)
-            continue
-        chain = sorted(targets, key=lambda z: rank_of[z])
-        if any(chain[k + 1] not in out_rel[chain[k]] for k in range(len(chain) - 1)):
-            raise ContractError(
-                f"element {x!r} has no unique parent: its targets are not a chain"
-            )
-        children[chain[0]].append(x)
+        else:
+            children[p].append(x)
 
     vals = {}
     clock = 1

@@ -16,7 +16,7 @@ By prec-out-chain every element's prec-targets form a chain, so prec is the
 ancestor relation of its cover forest and the cone of u is u's subtree
 minus u.  solve_indep works on that forest:
 
-  - one global order: the set's topological order b._topo (see the
+  - one global order: the set's topological order (b._forest, see the
     relation index in core.BurlingSet) restricted to a cone is a
     topological order of the cone, so a cone's members are only sorted by
     their positions in it;
@@ -38,14 +38,15 @@ results are those of the greedy run on each cone's full sub-relation.
 
 solve_indep checks weights and chordality once, through chordal_relation,
 and checks that prec is a forest while building it; it does not call
-mwis_chordal, which keeps every check for relations from outside.
+mwis_chordal, which keeps every check for relations from outside and runs
+the same check and greedy, the latter with no forest.
 
 Weights are nonnegative integers.
 """
 
 from __future__ import annotations
 
-from .core import BurlingSet, _topo_sort
+from .core import BurlingSet, _chordal_forest, _topo_sort
 from .errors import ContractError, InputError
 from .graph import Graph
 from .recognition import recognize
@@ -69,57 +70,8 @@ def chordal_relation(b: BurlingSet) -> frozenset:
     direction.  Both follow from the axioms, so a failure here is a bug in
     the caller or this package, not bad input.
     """
-    if b._topo is None:
-        raise ContractError("combined relation has a cycle")
-    gap = _unrelated_targets(b._topo, b._rel_maps[0])
-    if gap is not None:
-        x, y, z = gap
-        raise ContractError(f"out-targets {y!r}, {z!r} of {x!r} are unrelated")
+    b._forest  # checked while the set's relation forest is built
     return b.prec | b.adj
-
-
-def _unrelated_targets(topo, out):
-    """An element x with two out-targets y, z related in neither direction,
-    as (x, y, z); None if there is none.  topo is a topological order of the
-    acyclic relation given by out.
-
-    Every related pair points forward in topo, so it is enough that the
-    first out-target of each element has all the others as out-targets
-    (the elimination order test of Rose, Tarjan and Lueker, 1976): an
-    element whose targets fail to be pairwise related, taken last in topo,
-    would otherwise pass its unrelated pair on to its first target.
-    """
-    pos = {x: i for i, x in enumerate(topo)}
-    for x in topo:
-        ts = out[x]
-        if len(ts) > 1:
-            y = min(ts, key=pos.__getitem__)
-            missing = ts - out[y]  # y itself, on an acyclic relation
-            if len(missing) > 1:
-                missing.discard(y)
-                return x, y, min(missing, key=pos.__getitem__)
-    return None
-
-
-def _two_phase(peo, out, weights) -> tuple:
-    """Frank's two-phase greedy over a perfect elimination order peo of a
-    chordal relation given by out-maps that stay inside peo.  Returns
-    (frozenset, weight).  The second phase walks peo backwards, so only
-    out-targets of an element can already be kept when it is reached.
-    """
-    residual = {x: weights[x] for x in peo}
-    marked = []
-    for x in peo:
-        r = residual[x]
-        if r > 0:
-            marked.append(x)
-            for y in out[x]:
-                residual[y] -= r
-    chosen = set()
-    for x in reversed(marked):
-        if chosen.isdisjoint(out[x]):
-            chosen.add(x)
-    return frozenset(chosen), sum(weights[x] for x in chosen)
 
 
 def mwis_chordal(elements, rel, weights) -> tuple:
@@ -137,10 +89,9 @@ def mwis_chordal(elements, rel, weights) -> tuple:
     peo = _topo_sort(order, out)
     if peo is None:
         raise ContractError("combined relation has a cycle")
-    gap = _unrelated_targets(peo, out)
-    if gap is not None:
-        raise ContractError(f"relation is not chordal at {gap[0]!r}")
-    return _two_phase(peo, out, weights)
+    _chordal_forest(peo, out)
+    chosen, total = _cone_greedy(peo, dict.fromkeys(peo), out, weights)
+    return frozenset(chosen), total
 
 
 def _cover_forest(topo, out_prec, pos) -> dict:
@@ -165,18 +116,20 @@ def _cover_forest(topo, out_prec, pos) -> dict:
     return parent
 
 
-def _cone_greedy(order, parent, out_adj, boosted) -> tuple:
+def _cone_greedy(order, parent, out, boosted) -> tuple:
     """Frank's two-phase greedy on the relation restricted to a cone, or to
     all elements, given in topological order.  Returns (set chosen, its
     boosted weight).
 
-    An element's prec-targets inside the cone are its ancestors inside it,
-    so its prec deduction is the sum of the residuals marked in its subtree,
-    and it is blocked along prec when a chosen element lies above it.  A
-    member whose parent lies outside the order (the cone's own element, or
-    none at a root) passes its sum to a key that is never read.
+    The relation is the forest's ancestor relation plus out: an element's
+    prec-targets inside the cone are its ancestors inside it, so its prec
+    deduction is the sum of the residuals marked in its subtree, and it is
+    blocked along prec when a chosen element lies above it.  A member whose
+    parent lies outside the order (the cone's own element, or none at a
+    root) passes its sum to a key that is never read.  With every parent
+    None this is the plain two-phase greedy over out.
     """
-    cut = {}  # adj deductions: residuals marked at adj in-neighbours
+    cut = {}  # deductions along out: residuals marked at in-neighbours
     below = {}  # residuals marked in the subtree, the element excluded
     marked = set()
     for x in order:
@@ -185,7 +138,7 @@ def _cone_greedy(order, parent, out_adj, boosted) -> tuple:
         if r > 0:
             marked.add(x)
             s += r
-            for y in out_adj[x]:
+            for y in out[x]:
                 cut[y] = cut.get(y, 0) + r
         if s:
             p = parent[x]
@@ -195,7 +148,7 @@ def _cone_greedy(order, parent, out_adj, boosted) -> tuple:
     for x in reversed(order):
         if parent[x] in covered:
             covered.add(x)
-        elif x in marked and chosen.isdisjoint(out_adj[x]):
+        elif x in marked and chosen.isdisjoint(out[x]):
             chosen.add(x)
             covered.add(x)
     return chosen, sum(boosted[x] for x in chosen)
@@ -210,7 +163,7 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     """
     _check_weights(b._order, weights)
     chordal_relation(b)
-    topo = b._topo
+    topo, _ = b._forest
     pos = {x: i for i, x in enumerate(topo)}
     out_prec, in_prec = b._prec_maps
     out_adj, _ = b._adj_maps

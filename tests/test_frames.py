@@ -17,9 +17,11 @@ from burling import (
     BurlingSet,
     Frame,
     FrameFamily,
+    GeneratorConfig,
     build_frames,
     extract_burling,
     frames_intersect,
+    gen_burling,
     horizontal_constraints,
     horizontal_order,
     induced_graph,
@@ -256,14 +258,40 @@ def test_vertical_multi_parent_is_contract_error():
 
 def test_vertical_targets_not_a_chain_is_contract_error():
     # Not a valid set: element 5's targets are 1, 2 and 3, and 2 lies directly
-    # below the other two, but no pair relates 1 and 3: no chain.
+    # below the other two, but no pair relates 1 and 3: no chain.  The
+    # chordality check names the first element in topological order with an
+    # unrelated pair of targets, 2, whose targets 0, 1 and 3 hold that pair.
     bad = BurlingSet(
         range(6),
         prec=[(0, 3), (2, 0), (2, 3), (5, 1)],
         adj=[(1, 0), (2, 1), (5, 2), (5, 3)],
     )
-    with pytest.raises(ContractError, match="element 5"):
+    with pytest.raises(ContractError, match="out-targets 1, 3 of 2 are unrelated"):
         vertical_order(bad)
+
+
+def test_linear_mode_unordered_targets_is_contract_error():
+    # Not a valid set: y and z are adj-targets of x with no prec pair
+    # between them, so linear mode has no prec-greatest one to pick.
+    bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z")])
+    assert horizontal_constraints(bad)
+    with pytest.raises(ContractError, match="not totally ordered"):
+        horizontal_constraints(bad, linear=True)
+
+
+def test_both_constraint_modes_give_the_same_order():
+    # The smallest-first Kahn order depends only on the transitive closure
+    # of the constraints, and linear mode's constraints imply the others.
+    rng = random.Random("modes")
+    for seed in range(150):
+        cfg = GeneratorConfig(
+            seed,
+            rng.randrange(1, 90),
+            probe_bias=rng.choice((0.0, 0.3, 0.5, 1.0)),
+            join_mix=rng.choice((0.0, 0.5, 0.8, 1.0)),
+        )
+        b = gen_burling(cfg)
+        assert horizontal_order(b, False) == horizontal_order(b, True)
 
 
 _FRAMES_CHILD = """

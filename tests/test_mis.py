@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from burling import (
     Graph,
     GeneratorConfig,
     brute_force_mwis,
+    build_frames,
     chordal_relation,
     gen_burling,
     induced_graph,
@@ -24,10 +26,9 @@ from burling import (
     mwis_chordal,
     solve_indep,
 )
-from burling import core, mis
-from burling.core import _topo_sort
+from burling import core, frames, mis
+from burling.core import _chordal_forest, _topo_sort
 from burling.errors import ContractError, InputError
-from burling.mis import _two_phase, _unrelated_targets
 
 
 def fig3_set():
@@ -231,6 +232,14 @@ def _random_acyclic(rng, k):
     return out
 
 
+def _ancestors(parent, x):
+    out = set()
+    while parent[x] is not None:
+        x = parent[x]
+        out.add(x)
+    return out
+
+
 def test_positional_chordality_matches_pairwise():
     rng = random.Random(53)
     verdicts = {True: 0, False: 0}
@@ -246,14 +255,44 @@ def test_positional_chordality_matches_pairwise():
         else:
             out = _random_acyclic(rng, k)
         topo = _topo_sort(range(k), out)
-        gap = _unrelated_targets(topo, out)
-        assert (gap is None) == (_pairwise_gap(range(k), out) is None)
-        if gap is not None:
-            x, y, z = gap
+        chordal = _pairwise_gap(range(k), out) is None
+        try:
+            parent = _chordal_forest(topo, out)
+        except ContractError as e:
+            assert not chordal
+            m = re.fullmatch(r"out-targets (\d+), (\d+) of (\d+) are unrelated", str(e))
+            y, z, x = map(int, m.groups())
             assert y != z and {y, z} <= out[x]
             assert z not in out[y] and y not in out[z]
-        verdicts[gap is None] += 1
+        else:
+            assert chordal
+            # The forest the frame builder and the greedy rely on: each
+            # parent is the first target in topo, every target an ancestor.
+            pos = {v: i for i, v in enumerate(topo)}
+            for x in range(k):
+                first = min(out[x], key=pos.__getitem__, default=None)
+                assert parent[x] == first
+                assert out[x] <= _ancestors(parent, x)
+        verdicts[chordal] += 1
     assert min(verdicts.values()) > 500
+
+
+def _two_phase(peo, out, weights) -> tuple:
+    """Frank's two-phase greedy over a perfect elimination order peo of a
+    chordal relation given by out-maps that stay inside peo."""
+    residual = {x: weights[x] for x in peo}
+    marked = []
+    for x in peo:
+        r = residual[x]
+        if r > 0:
+            marked.append(x)
+            for y in out[x]:
+                residual[y] -= r
+    chosen = set()
+    for x in reversed(marked):
+        if chosen.isdisjoint(out[x]):
+            chosen.add(x)
+    return frozenset(chosen), sum(weights[x] for x in chosen)
 
 
 def _per_cone_reference(b, weights):
@@ -315,19 +354,32 @@ def test_solve_indep_matches_per_cone_reference_on_benchmark_shape():
 
 
 def test_solve_indep_sorts_topologically_once(monkeypatch):
-    # Cones take their order from the set's one topological order.
-    calls = []
-
-    def counting(nodes, succ):
-        calls.append(len(nodes))
-        return _topo_sort(nodes, succ)
-
-    monkeypatch.setattr(core, "_topo_sort", counting)
-    monkeypatch.setattr(mis, "_topo_sort", counting)
+    # solve_indep and build_frames in both modes share one relation index:
+    # the prec and adj maps and one topological order of the elements, which
+    # cones restrict.  The other sorts are of the 2n horizontal symbols.
     b = gen_burling(GeneratorConfig(seed=3, target_size=60))
     fresh = BurlingSet(b.elements, b.prec, b.adj)
+    maps = []
+    sorts = []
+    core_maps = core._maps
+
+    def counting_maps(elements, pairs):
+        maps.append(len(pairs))
+        return core_maps(elements, pairs)
+
+    def counting_sort(nodes, succ):
+        sorts.append(len(nodes))
+        return _topo_sort(nodes, succ)
+
+    monkeypatch.setattr(core, "_maps", counting_maps)
+    for module in (core, mis, frames):
+        monkeypatch.setattr(module, "_topo_sort", counting_sort)
     solve_indep(fresh, _unit(fresh.elements))
-    assert calls == [60]
+    assert sorts == [60]
+    build_frames(fresh)
+    build_frames(fresh, linear=True)
+    assert sorted(maps) == sorted([len(b.prec), len(b.adj)])
+    assert sorted(sorts) == [60, 120, 120]
 
 
 def _path_mwis(ws):
