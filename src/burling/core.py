@@ -73,8 +73,8 @@ class BurlingSet:
     # The relation index: structures derived from the relations, each built
     # on first use and kept for the life of the immutable set.  Maps come in
     # (out, in) pairs, x -> {y : x R y} and y -> {x : x R y}, for R = prec
-    # and adj; callers must not modify the sets.  Only _forest assumes an
-    # axiom's consequence, and raises ContractError where it fails.
+    # and adj; callers must not modify the sets.  Only _forest assumes the
+    # axioms' consequences, and raises ContractError where they fail.
 
     @cached_property
     def _order(self) -> tuple:
@@ -90,17 +90,24 @@ class BurlingSet:
 
     @cached_property
     def _forest(self) -> tuple:
-        """(topo, parent) for the combined relation prec ∪ adj: its
-        smallest-id-first topological order, and each element's first
-        out-target in that order, None at a root.  The relation must be
-        chordal, as the axioms make it; then every out-target of an element
-        is one of its ancestors in the parent forest."""
+        """(topo, parent, up): the smallest-id-first topological order of
+        prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
+        element's parent is its first out-target in topo, None at a root.
+        Both relations must be chordal, and x must hold up[x]'s prec-targets,
+        as the axioms make them: then every out-target of x is its ancestor
+        in the first forest, and prec is the ancestor relation of the
+        second, its cover forest."""
         out_prec, out_adj = self._prec_maps[0], self._adj_maps[0]
         out = {x: out_prec[x] | out_adj[x] for x in self._order}
         topo = _topo_sort(self._order, out)
         if topo is None:
             raise ContractError("combined relation has a cycle")
-        return topo, _chordal_forest(topo, out)
+        parent = _chordal_forest(topo, out)
+        up = _chordal_forest(topo, out_prec)
+        for x, p in up.items():
+            if p is not None and not out_prec[p] <= out_prec[x]:
+                raise ContractError(f"prec-targets of {p!r} are not prec-targets of {x!r}")
+        return topo, parent, up
 
 
 def _maps(elements, pairs) -> tuple:

@@ -11,10 +11,11 @@ escaping y.
 
 build_frames realizes a Burling set as such a family with integer
 coordinates 1..2|S| per axis.  Horizontal coordinates come from a
-topological sort of a constraint system over the symbols l_x, r_x; vertical
-coordinates are DFS enter/exit times on the parent forest of the combined
-relation.  Both read the set's relation index (see core.BurlingSet), and
-the horizontal system is sorted by the same smallest-first Kahn sort.
+topological sort of a constraint system over the symbols l_x, r_x, stated
+on prec's cover forest; vertical coordinates are DFS enter/exit times on
+the parent forest of the combined relation.  Both forests come from the
+set's relation index (see core.BurlingSet), and the horizontal system is
+sorted by the same smallest-first Kahn sort.
 extract_burling inverts the construction for any strict family.
 """
 
@@ -211,26 +212,30 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
     """The strictly-less-than constraints on horizontal symbols, as ordered
     pairs (smaller symbol, larger symbol), deduplicated and sorted.
 
-    For every pair y related to x (either relation), the left side of x is
-    left of the left side of y, and the left side of y is left of the right
-    side of x; right sides are ordered by prec and reversed across adj; and
-    whenever y is related to some z that crosses out of x, x lies entirely
-    left of y.  In linear mode that last group is emitted only for the
-    prec-maximal crossing, which the others follow from; the constraint
-    count is then linear in |S| plus the relation size.  Both modes give the
-    same horizontal_order.
+    For every cover a of c in prec's cover forest and every adj pair a, c,
+    l_c < l_a < r_c; r_a < r_c for a cover and r_c < r_a across adj; and
+    whenever y is a child or an adj-in-neighbour of some z that crosses out
+    of x, x lies entirely left of y.  Left sides fall and right sides rise
+    down the forest, so these imply the same for all of prec's closure.  In
+    linear mode that last group is emitted only for the prec-maximal
+    crossing, which the others follow from; the count is then linear in |S|
+    plus the covers and |adj|.  Both modes give the same horizontal_order.
     """
     order = b._order
     idx = {x: i for i, x in enumerate(order)}
-    out_prec, in_prec = b._prec_maps
+    up = b._forest[2]
+    out_prec = b._prec_maps[0]
     out_adj, in_adj = b._adj_maps
     cons = set()
-    for i in range(len(order)):
+    children = {x: [] for x in order}
+    for i, a in enumerate(order):
         cons.add((2 * i, 2 * i + 1))
-    for a, c in b.prec:
-        cons.add((2 * idx[c], 2 * idx[a]))  # l_c < l_a since a rel c
-        cons.add((2 * idx[a], 2 * idx[c] + 1))  # l_a < r_c
-        cons.add((2 * idx[a] + 1, 2 * idx[c] + 1))
+        c = up[a]
+        if c is not None:
+            children[c].append(a)
+            cons.add((2 * idx[c], 2 * i))  # l_c < l_a since a prec c
+            cons.add((2 * i, 2 * idx[c] + 1))  # l_a < r_c
+            cons.add((2 * i + 1, 2 * idx[c] + 1))
     for a, c in b.adj:
         cons.add((2 * idx[c], 2 * idx[a]))
         cons.add((2 * idx[a], 2 * idx[c] + 1))
@@ -239,7 +244,7 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
         targets = out_adj[z]
         if not targets:
             continue
-        escapes = in_prec[z] | in_adj[z]
+        escapes = in_adj[z].union(children[z])
         if linear and escapes:
             targets = [_prec_max(out_prec, targets)]
         for x in targets:
@@ -251,12 +256,10 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
 def _prec_max(out_prec, targets) -> object:
     """The prec-greatest member of a set of adj-targets of one element.
 
-    Such targets are totally ordered by prec in a valid Burling set.
+    Such targets form a prec-chain in a valid set; its top has the fewest
+    prec-targets.
     """
-    top = next(iter(targets))
-    for t in targets:
-        if t in out_prec[top]:
-            top = t
+    top = min(targets, key=lambda t: len(out_prec[t]))
     if any(u != top and top not in out_prec[u] for u in targets):
         raise ContractError(
             f"adjacency targets {sorted(targets)!r} are not totally ordered"
@@ -288,7 +291,7 @@ def vertical_order(b: BurlingSet) -> dict:
     unrelated ones get disjoint spans.
     """
     order = b._order
-    _, parent = b._forest
+    _, parent, _ = b._forest
     roots = []
     children = {x: [] for x in order}
     for x in order:

@@ -14,12 +14,12 @@ nested inside u, hence non-adjacent to everything the top solution keeps.
 
 By prec-out-chain every element's prec-targets form a chain, so prec is the
 ancestor relation of its cover forest and the cone of u is u's subtree
-minus u.  solve_indep works on that forest:
+minus u.  solve_indep works on that forest, which the set's relation index
+builds and checks once (b._forest, see core.BurlingSet):
 
-  - one global order: the set's topological order (b._forest, see the
-    relation index in core.BurlingSet) restricted to a cone is a
-    topological order of the cone, so a cone's members are only sorted by
-    their positions in it;
+  - one global order: the set's topological order, kept in the same index,
+    restricted to a cone is a topological order of the cone, so a cone's
+    members are only sorted by their positions in it;
   - prec through the forest: in the greedy's first phase the deductions
     along prec reach an element as the sum of the residuals marked in its
     children's subtrees, passed up one parent at a time, and in the second
@@ -36,10 +36,10 @@ element's residual is settled by its in-neighbours, its choice by its
 out-targets, and every topological order handles those first), so the
 results are those of the greedy run on each cone's full sub-relation.
 
-solve_indep checks weights and chordality once, through chordal_relation,
-and checks that prec is a forest while building it; it does not call
-mwis_chordal, which keeps every check for relations from outside and runs
-the same check and greedy, the latter with no forest.
+solve_indep checks weights once, and chordality and the cover forest once
+per set, through chordal_relation; it does not call mwis_chordal, which
+keeps every check for relations from outside and runs the same check and
+greedy, the latter with no forest.
 
 Weights are nonnegative integers.
 """
@@ -64,13 +64,14 @@ def _check_weights(elements, weights) -> None:
 
 
 def chordal_relation(b: BurlingSet) -> frozenset:
-    """The combined relation prec ∪ adj, checked to be chordal.
+    """The combined relation prec ∪ adj, checked to be chordal, with prec
+    checked to be the ancestor relation of its cover forest.
 
     Chordal means acyclic with every out-target pair related in some
-    direction.  Both follow from the axioms, so a failure here is a bug in
-    the caller or this package, not bad input.
+    direction.  All of it follows from the axioms, so a failure here is a
+    bug in the caller or this package, not bad input.
     """
-    b._forest  # checked while the set's relation forest is built
+    b._forest  # checked while the set's relation forests are built
     return b.prec | b.adj
 
 
@@ -92,28 +93,6 @@ def mwis_chordal(elements, rel, weights) -> tuple:
     _chordal_forest(peo, out)
     chosen, total = _cone_greedy(peo, dict.fromkeys(peo), out, weights)
     return frozenset(chosen), total
-
-
-def _cover_forest(topo, out_prec, pos) -> dict:
-    """Each element's parent in prec's cover forest, None at a root.
-
-    The parent is the lowest prec-target, the first in topo; the other
-    prec-targets must be exactly the parent's, or prec is not the ancestor
-    relation of a forest.
-    """
-    parent = {}
-    for x in topo:
-        ups = out_prec[x]
-        if not ups:
-            parent[x] = None
-            continue
-        p = min(ups, key=pos.__getitem__)
-        if len(ups) != len(out_prec[p]) + 1 or not ups.issuperset(out_prec[p]):
-            raise ContractError(
-                f"prec-targets of {x!r} are not {p!r} and the prec-targets of {p!r}"
-            )
-        parent[x] = p
-    return parent
 
 
 def _cone_greedy(order, parent, out, boosted) -> tuple:
@@ -163,11 +142,10 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     """
     _check_weights(b._order, weights)
     chordal_relation(b)
-    topo, _ = b._forest
+    topo, _, parent = b._forest
     pos = {x: i for i, x in enumerate(topo)}
-    out_prec, in_prec = b._prec_maps
+    _, in_prec = b._prec_maps
     out_adj, _ = b._adj_maps
-    parent = _cover_forest(topo, out_prec, pos)
 
     inner = {}  # u -> elements chosen in the cone of u, their cones not expanded
     boosted = {}  # u -> weight of u plus the optimum inside its cone

@@ -242,3 +242,20 @@ def test_criterion_8_linear_mode_constraint_budget():
         assert len(cons) <= budget
         worst = max(worst, len(cons) / budget)
     _passline(8, f"constraint count within 6(|S|+|R|) on 1000 sets, worst ratio {worst:.2f}")
+
+
+def test_criterion_8_linear_mode_within_cover_budget():
+    # Tighter than criterion 8: prec enters through its covers only.  Each
+    # element gives one constraint, each cover and each adj pair three, and
+    # the escape rule one per escape of each z: a child of z or an
+    # adj-in-neighbour of z.  A cover makes its element an escape of its
+    # parent alone, and an adj pair (y, z) makes y an escape of z, so there
+    # are at most covers + |adj| escapes.
+    worst = 0.0
+    for b in _generated_corpus():
+        cons = horizontal_constraints(b, linear=True)
+        covers = len({x for x, _ in b.prec})
+        budget = 6 * (len(b.elements) + covers + len(b.adj))
+        assert len(cons) <= budget
+        worst = max(worst, len(cons) / budget)
+    _passline(8, f"constraint count within 6(|S|+covers+|adj|) on 1000 sets, worst ratio {worst:.2f}")

@@ -29,6 +29,7 @@ from burling import (
     verify_strict,
     vertical_order,
 )
+from burling.core import _topo_sort
 from burling.errors import ContractError, InputError
 
 
@@ -271,17 +272,64 @@ def test_vertical_targets_not_a_chain_is_contract_error():
 
 
 def test_linear_mode_unordered_targets_is_contract_error():
-    # Not a valid set: y and z are adj-targets of x with no prec pair
-    # between them, so linear mode has no prec-greatest one to pick.
+    # Not a valid set: y and z are adj-targets of x with no pair between
+    # them, so the combined relation is not chordal, which the relation
+    # index reports in both modes.
     bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z")])
+    for linear in (False, True):
+        with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x' are unrelated"):
+            horizontal_constraints(bad, linear=linear)
+    # Related by adj alone, y and z pass the chordality check, but linear
+    # mode still has no prec-greatest target to pick.
+    bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z"), ("y", "z")])
     assert horizontal_constraints(bad)
     with pytest.raises(ContractError, match="not totally ordered"):
         horizontal_constraints(bad, linear=True)
 
 
+def _closure_constraints(b):
+    """Reference constraint system on prec's transitive closure: three
+    constraints for every prec pair and every adj pair, and the escape rule
+    for every element y related to z, from maps built from the pairs."""
+    order = sorted(b.elements)
+    idx = {x: i for i, x in enumerate(order)}
+    out_adj = {x: set() for x in order}
+    related_in = {x: set() for x in order}
+    cons = {(2 * i, 2 * i + 1) for i in range(len(order))}
+    for a, c in b.prec:
+        related_in[c].add(a)
+        cons.add((2 * idx[c], 2 * idx[a]))
+        cons.add((2 * idx[a], 2 * idx[c] + 1))
+        cons.add((2 * idx[a] + 1, 2 * idx[c] + 1))
+    for a, c in b.adj:
+        out_adj[a].add(c)
+        related_in[c].add(a)
+        cons.add((2 * idx[c], 2 * idx[a]))
+        cons.add((2 * idx[a], 2 * idx[c] + 1))
+        cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
+    for z in order:
+        for x in out_adj[z]:
+            for y in related_in[z]:
+                cons.add((2 * idx[x] + 1, 2 * idx[y]))
+    return order, cons
+
+
+def _closure_order(b):
+    """Smallest-first sort of the reference system, as horizontal_order's
+    map from element to (left, right)."""
+    order, cons = _closure_constraints(b)
+    succ = [[] for _ in range(2 * len(order))]
+    for a, c in cons:
+        succ[a].append(c)
+    values = {v: value for value, v in enumerate(_topo_sort(range(len(succ)), succ), 1)}
+    return {x: (values[2 * i], values[2 * i + 1]) for i, x in enumerate(order)}
+
+
 def test_both_constraint_modes_give_the_same_order():
     # The smallest-first Kahn order depends only on the transitive closure
-    # of the constraints, and linear mode's constraints imply the others.
+    # of the constraints.  Linear mode's constraints imply the others, and
+    # the constraints on prec's cover forest imply those on its closure, so
+    # every mode gives the order of the closure system.
     rng = random.Random("modes")
     for seed in range(150):
         cfg = GeneratorConfig(
@@ -291,7 +339,9 @@ def test_both_constraint_modes_give_the_same_order():
             join_mix=rng.choice((0.0, 0.5, 0.8, 1.0)),
         )
         b = gen_burling(cfg)
-        assert horizontal_order(b, False) == horizontal_order(b, True)
+        expected = _closure_order(b)
+        assert horizontal_order(b, False) == expected
+        assert horizontal_order(b, True) == expected
 
 
 _FRAMES_CHILD = """
@@ -316,24 +366,50 @@ print(round_trip, len(grid), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_large_families_within_memory_and_time_budget():
-    # A child process runs the round trip, so the peak resident size it
-    # reports (KiB on Linux) is that run's alone.
+def _child_output(code) -> list:
+    """The words a child process running code prints, so that the peak
+    resident size it reports (KiB on Linux) is that run's alone."""
     pytest.importorskip("resource")
     src = str(Path(burling.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    start = time.perf_counter()
     out = subprocess.run(
-        [sys.executable, "-c", _FRAMES_CHILD],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
         check=True,
     )
+    return out.stdout.split()
+
+
+def test_large_families_within_memory_and_time_budget():
+    start = time.perf_counter()
+    round_trip, size, peak_kib = _child_output(_FRAMES_CHILD)
     elapsed = time.perf_counter() - start
-    round_trip, size, peak_kib = out.stdout.split()
     assert round_trip == "True"
     assert size == "20000"
     assert int(peak_kib) < 200 * 1024
     assert elapsed < 10.0
+
+
+_FRAMES_SCALE_CHILD = """
+import resource, time
+from burling import GeneratorConfig, build_frames, gen_burling
+b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
+start = time.perf_counter()
+for linear in (False, True):
+    build_frames(b, linear)
+elapsed = time.perf_counter() - start
+print(len(b.elements), elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_frames_at_n_2000_within_memory_and_time_budget():
+    # The set's 2000 elements carry about 514 000 prec pairs but under 2000
+    # covers, and the constraints follow the covers.  Only the two
+    # build_frames calls are timed.
+    size, elapsed, peak_kib = _child_output(_FRAMES_SCALE_CHILD)
+    assert size == "2000"
+    assert float(elapsed) < 3.0
+    assert int(peak_kib) < 300 * 1024
