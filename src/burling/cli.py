@@ -68,7 +68,7 @@ def cmd_frames(args) -> int:
     report = verify_axioms(b)
     if not report.ok:
         raise InputError(f"not a valid Burling set: {report.lines()[0]}")
-    print(dump_frames_json(build_frames(b, linear=args.linear)))
+    print(dump_frames_json(build_frames(b)))
     return 0
 
 
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frames", help="build a strict frame family for a Burling set")
     p.add_argument("setfile", help="Burling set JSON file")
-    p.add_argument("--linear", action="store_true", help="linear-size constraint mode")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("mis", help="maximum-weight independent set of a Burling graph")

@@ -4,7 +4,9 @@ Grows a set one element at a time from a singleton, using only moves that
 provably preserve the axioms: attaching a fresh probe to an exposed
 element, an outer join of a fresh crossing partner at a root, and an inner
 join folding the current probes into a fresh enclosing element.  Each move
-adds its pairs in place; the set is built and verified once, at the end.
+adds its pairs in place, and the set is built once, at the end.  The moves
+make it a Burling set, so it is not verified here: verify_axioms is for
+sets that come from outside.
 
 The random stream is splitmix64, fixed here by recurrence so corpora are
 reproducible bit for bit from the seed:
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BurlingSet, verify_axioms
-from .errors import ContractError, InputError
+from .core import BurlingSet
+from .errors import InputError
 
 _MASK = (1 << 64) - 1
 
@@ -105,8 +107,4 @@ def gen_burling(cfg: GeneratorConfig) -> BurlingSet:
             roots.add(fresh)
             exposed.add(fresh)
 
-    b = BurlingSet(range(cfg.target_size), prec, adj)
-    report = verify_axioms(b)
-    if not report.ok:
-        raise ContractError(f"generator produced a bad set: {report.lines()[0]}")
-    return b
+    return BurlingSet(range(cfg.target_size), prec, adj)

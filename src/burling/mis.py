@@ -37,9 +37,9 @@ out-targets, and every topological order handles those first), so the
 results are those of the greedy run on each cone's full sub-relation.
 
 solve_indep checks weights once, and chordality and the cover forest once
-per set, through chordal_relation; it does not call mwis_chordal, which
-keeps every check for relations from outside and runs the same check and
-greedy, the latter with no forest.
+per set, by reading b._forest as chordal_relation does; it does not call
+mwis_chordal, which keeps every check for relations from outside and runs
+the same check and greedy, the latter with no forest.
 
 Weights are nonnegative integers.
 """
@@ -141,7 +141,6 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     has its own cone solved already.
     """
     _check_weights(b._order, weights)
-    chordal_relation(b)
     topo, _, parent = b._forest
     pos = {x: i for i, x in enumerate(topo)}
     _, in_prec = b._prec_maps

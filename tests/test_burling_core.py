@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from graphlib import CycleError, TopologicalSorter
+
 import pytest
 
 from burling import (
@@ -118,6 +122,48 @@ def test_adj_extends_upward_violation():
     assert verify_axioms(
         BurlingSet("xyz", prec=[("y", "z")], adj=[("x", "y"), ("x", "z")])
     ).ok
+
+
+def _union_is_acyclic(b) -> bool:
+    graph = {x: set() for x in b.elements}
+    for x, y in b.prec | b.adj:
+        graph[x].add(y)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError:
+        return False
+    return True
+
+
+def test_verified_sets_have_an_acyclic_union():
+    # verify_axioms has no check of its own for cycles of prec ∪ adj: the
+    # axioms it checks rule them out.  Every pair of loop-free relations on
+    # 3 elements (a loop breaks irreflexivity or adj-acyclic), then random
+    # relations with loops on 4 and 5 elements.
+    pairs = [p for p in itertools.product(range(3), repeat=2) if p[0] != p[1]]
+    subsets = [
+        [p for i, p in enumerate(pairs) if mask >> i & 1] for mask in range(1 << len(pairs))
+    ]
+    passed = 0
+    for prec, adj in itertools.product(subsets, repeat=2):
+        b = BurlingSet(range(3), prec, adj)
+        if verify_axioms(b).ok:
+            passed += 1
+            assert _union_is_acyclic(b), b
+    assert passed > 50
+    rng = random.Random(31)
+    passed = 0
+    for _ in range(6000):
+        k = rng.choice((4, 5))
+        every = list(itertools.product(range(k), repeat=2))
+        density = rng.choice((0.05, 0.1, 0.15))
+        prec = [p for p in every if rng.random() < density]
+        adj = [p for p in every if rng.random() < density]
+        b = BurlingSet(range(k), prec, adj)
+        if verify_axioms(b).ok:
+            passed += bool(b.prec and b.adj)
+            assert _union_is_acyclic(b), b
+    assert passed > 100
 
 
 def test_report_lines_name_witnesses():

@@ -26,6 +26,7 @@ from burling import (
     horizontal_order,
     induced_graph,
     intersection_graph,
+    verify_axioms,
     verify_strict,
     vertical_order,
 )
@@ -215,6 +216,38 @@ def test_extract_rejects_non_strict():
     fam = FrameFamily([Frame(0, 0, 4, 0, 4), Frame(1, 1, 5, 1, 5)])
     with pytest.raises(InputError):
         extract_burling(fam)
+
+
+def _random_strict_family(rng) -> FrameFamily:
+    """Up to 8 frames with coordinates in 0..23, each kept only if the
+    family stays in general position and strict after 30 tries."""
+    frames = []
+    for i in range(rng.randint(1, 8)):
+        for _ in range(30):
+            l, r = sorted(rng.sample(range(24), 2))
+            b, t = sorted(rng.sample(range(24), 2))
+            try:
+                fam = FrameFamily(frames + [Frame(i, l, r, b, t)])
+            except InputError:
+                continue
+            if verify_strict(fam).ok:
+                frames = list(fam)
+                break
+    return FrameFamily(frames)
+
+
+def test_extracted_sets_pass_the_axioms():
+    # extract_burling does not verify what it returns: strict families and
+    # Burling sets describe the same graphs.  Families drawn at random, not
+    # by build_frames, check that here.
+    rng = random.Random(71)
+    crossing = 0
+    for _ in range(600):
+        b = extract_burling(_random_strict_family(rng))
+        assert verify_axioms(b).ok, b
+        assert extract_burling(build_frames(b)) == b
+        crossing += bool(b.adj)
+    assert crossing > 150
 
 
 def test_intersection_graph_fig3():

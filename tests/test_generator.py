@@ -21,6 +21,7 @@ from burling import (
     gen_burling,
     inner_join,
     outer_join,
+    verify_axioms,
 )
 from burling.generator import SplitMix64, _pick
 
@@ -75,11 +76,13 @@ _SETTINGS = ((0.5, 0.5), (0.8, 0.2), (0.3, 0.8), (0.0, 0.0), (1.0, 1.0), (0.0, 1
 
 @pytest.mark.parametrize("probe_bias, join_mix", _SETTINGS)
 def test_matches_the_join_reference(probe_bias, join_mix):
-    # 40 seeds x 6 sizes per setting, 1440 configurations in all; the
-    # axioms of each set are checked by gen_burling itself
+    # 40 seeds x 6 sizes per setting, 1440 configurations in all;
+    # gen_burling does not verify its output, so the axioms are checked here
     for seed, size in itertools.product(range(40), (1, 2, 5, 24, 48, 112)):
         cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
-        assert gen_burling(cfg) == _join_reference(cfg), cfg
+        b = gen_burling(cfg)
+        assert verify_axioms(b).ok, cfg
+        assert b == _join_reference(cfg), cfg
 
 
 def test_builds_one_set_per_call(monkeypatch):

@@ -25,6 +25,7 @@ from burling import (
     max_weight_independent_set,
     mwis_chordal,
     solve_indep,
+    verify_axioms,
 )
 from burling import core, frames, mis
 from burling.core import _chordal_forest, _topo_sort
@@ -355,9 +356,10 @@ def test_solve_indep_matches_per_cone_reference_on_benchmark_shape():
 
 
 def test_solve_indep_sorts_topologically_once(monkeypatch):
-    # solve_indep and build_frames in both modes share one relation index:
-    # the prec and adj maps and one topological order of the elements, which
-    # cones restrict.  The other sorts are of the 2n horizontal symbols.
+    # verify_axioms, solve_indep and build_frames in both modes share one
+    # relation index: the prec and adj maps and one topological order of
+    # the elements, which cones restrict.  The other sorts are of the 2n
+    # horizontal symbols.
     b = gen_burling(GeneratorConfig(seed=3, target_size=60))
     fresh = BurlingSet(b.elements, b.prec, b.adj)
     maps = []
@@ -375,6 +377,8 @@ def test_solve_indep_sorts_topologically_once(monkeypatch):
     monkeypatch.setattr(core, "_maps", counting_maps)
     for module in (core, mis, frames):
         monkeypatch.setattr(module, "_topo_sort", counting_sort)
+    assert verify_axioms(fresh).ok
+    assert sorts == []
     solve_indep(fresh, _unit(fresh.elements))
     assert sorts == [60]
     build_frames(fresh)

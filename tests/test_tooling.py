@@ -353,11 +353,10 @@ def test_cli_recognize_bad_graph(tmp_path, capsys):
 
 def test_cli_frames_round_trip(tmp_path, capsys):
     setfile = _write(tmp_path, "fig3.json", dump_burling_json(fig3_set()))
-    for extra in ([], ["--linear"]):
-        assert main(["frames", setfile] + extra) == 0
-        fam = load_frames_json(capsys.readouterr().out)
-        assert verify_strict(fam).ok
-        assert extract_burling(fam) == fig3_set()
+    assert main(["frames", setfile]) == 0
+    fam = load_frames_json(capsys.readouterr().out)
+    assert verify_strict(fam).ok
+    assert extract_burling(fam) == fig3_set()
 
 
 def test_cli_frames_rejects_invalid_set(tmp_path, capsys):
