@@ -18,6 +18,19 @@ The union of the two relations is then acyclic too, with no check of its
 own: a shortest cycle has no prec pair, which the pair before it would
 shortcut by transitivity or adj-extends-upward, so it is an adj cycle.
 
+verify_axioms checks prec pair by pair only where it must.  Taking elements
+by ascending number of prec-targets, it calls x settled when its targets
+are none, or exactly p and p's targets for a settled target p with the
+most targets, which it tests by p having one target fewer than x, all of
+them x's.  By induction on that number, the targets of a settled x form a
+prec-chain that is closed under prec and does not hold x: p precedes each
+of its own targets, which form such a chain, and x is neither p, settled
+before it, nor one of p's targets, whose targets would all be p's, fewer
+than x's.  So no pair (x, y) with x settled can break irreflexivity or
+transitivity, and prec-out-chain holds at x.  On a valid set every element
+is settled, its targets being its cover and the cover's targets, and the
+pairwise checks walk no pair.
+
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
 can keep growing:
@@ -42,9 +55,9 @@ class BurlingSet:
     """Immutable candidate Burling set.
 
     Construction validates shape only (pairs reference declared elements,
-    elements non-empty); whether the axioms hold is the job of verify_axioms.
-    Element ids may be any sortable hashable values; integers internally,
-    strings at file boundaries.
+    elements non-empty and mutually comparable); whether the axioms hold is
+    the job of verify_axioms.  Element ids may be any sortable hashable
+    values; integers internally, strings at file boundaries.
     """
 
     elements: frozenset
@@ -55,11 +68,16 @@ class BurlingSet:
         elements = frozenset(elements)
         if not elements:
             raise InputError("a Burling set needs at least one element")
+        try:
+            order = tuple(sorted(elements))
+        except TypeError:
+            raise InputError("element ids must be mutually comparable") from None
         prec = frozenset(_check_pairs(prec, elements, "prec"))
         adj = frozenset(_check_pairs(adj, elements, "adj"))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "_order", order)
 
     def ordered(self) -> list:
         """Element ids sorted ascending; the canonical iteration order."""
@@ -71,15 +89,13 @@ class BurlingSet:
             f"{len(self.prec)} prec, {len(self.adj)} adj)"
         )
 
-    # The relation index: structures derived from the relations, each built
-    # on first use and kept for the life of the immutable set.  Maps come in
-    # (out, in) pairs, x -> {y : x R y} and y -> {x : x R y}, for R = prec
-    # and adj; callers must not modify the sets.  Only _forest assumes the
-    # axioms' consequences, and raises ContractError where they fail.
-
-    @cached_property
-    def _order(self) -> tuple:
-        return tuple(sorted(self.elements))
+    # The relation index: _order, the sorted elements, which the constructor
+    # sets since sorting them is its check that ids compare, and structures
+    # derived from the relations, each built on first use and kept for the
+    # life of the immutable set.  Maps come in (out, in) pairs,
+    # x -> {y : x R y} and y -> {x : x R y}, for R = prec and adj; callers
+    # must not modify the sets.  Only _forest assumes the axioms'
+    # consequences, and raises ContractError where they fail.
 
     @cached_property
     def _prec_maps(self) -> tuple:
@@ -252,14 +268,25 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
     """Check every axiom, reporting each failure with a witnessing tuple.
 
     Intended for untrusted input, so nothing is assumed: transitivity of prec
-    is checked explicitly rather than trusted.  The maps are the relation
-    index's, so a set checked and then solved or framed builds them once.
+    is checked pair by pair from every element that is not settled (see the
+    module docstring), and settled elements need no such check.  The maps are
+    the relation index's, so a set checked and then solved or framed builds
+    them once.
     """
     elems = b._order
     out_prec, in_prec = b._prec_maps
     out_adj, _ = b._adj_maps
     prec = b.prec
-    pairs = sorted(prec)
+    size = {x: len(out_prec[x]) for x in elems}
+    settled = set()
+    for x in sorted(elems, key=size.__getitem__):
+        ts = out_prec[x]
+        if ts:
+            p = max(ts, key=size.__getitem__)
+            if p not in settled or size[p] + 1 != size[x] or not out_prec[p] <= ts:
+                continue
+        settled.add(x)
+    pairs = sorted((x, y) for x in elems if x not in settled for y in out_prec[x])
     viols = []
 
     for x, y in pairs:
@@ -281,7 +308,7 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
 
     in_count = {x: len(in_prec[x]) for x in elems}
     for x in elems:
-        if len(out_prec[x]) > 1:
+        if size[x] > 1 and x not in settled:
             gap = _chain_gap(out_prec[x], prec, in_count)
             if gap is not None:
                 viols.append(Violation("prec-out-chain", (x, gap[0], gap[1])))

@@ -16,11 +16,15 @@ on prec's cover forest; vertical coordinates are DFS enter/exit times on
 the parent forest of the combined relation.  Both forests come from the
 set's relation index (see core.BurlingSet), and the horizontal system is
 sorted by the same smallest-first Kahn sort.
-extract_burling inverts the construction for any strict family.
+extract_burling inverts the construction for any strict family.  It,
+verify_strict and intersection_graph read one sweep in x over the frames,
+which compares only frames that overlap in x and checks each crossing
+only against the frames whose left side lies inside it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import BurlingSet, VerificationReport, Violation, _topo_sort
@@ -49,7 +53,7 @@ class Frame:
 
 
 class FrameFamily:
-    """Frames with distinct ids, in general position.
+    """Frames with distinct, mutually comparable ids, in general position.
 
     General position means no corner of one frame lies on another frame;
     every intersection of two boundaries is then a clean crossing of edge
@@ -70,7 +74,11 @@ class FrameFamily:
     __slots__ = ("frames",)
 
     def __init__(self, frames):
-        frames = sorted(frames, key=lambda f: f.id)
+        frames = list(frames)
+        try:
+            frames.sort(key=lambda f: f.id)
+        except TypeError:
+            raise InputError("frame ids must be mutually comparable") from None
         seen = set()
         for f in frames:
             if f.id in seen:
@@ -114,7 +122,8 @@ def frames_intersect(f: Frame, g: Frame) -> bool:
     """Whether the two boundaries share a point.
 
     The closed boxes must overlap, and neither frame may sit strictly inside
-    the other's open interior (nested frames do not touch).
+    the other's open interior (nested frames do not touch).  Kept as the
+    definition that _scan and the tests follow.
     """
     if f.r < g.l or g.r < f.l or f.t < g.b or g.t < f.b:
         return False
@@ -126,45 +135,62 @@ def _inside(f: Frame, g: Frame) -> bool:
     return g.l < f.l and f.r < g.r and g.b < f.b and f.t < g.t
 
 
-def _crossing(f: Frame, g: Frame) -> bool:
-    """g escapes f through its right side: the one allowed intersection."""
-    return (
-        f.l < g.l < f.r < g.r
-        and f.b < g.b < g.t < f.t
-    )
-
-
 def _scan(fs) -> tuple:
-    """One pass over the pairs of frames fs: verify_strict's report, the
-    pairs (f, g) where g escapes f and the pairs (f, g) where f sits inside g."""
-    viols = []
+    """Every pair of frames fs whose closed boxes overlap, classified, as
+    pairs of ids: verify_strict's report, the pairs (f, g) where g escapes
+    f through its right side, the pairs (f, g) where f sits inside g, and
+    the pairs, in the order of fs, whose boundaries meet in any other way,
+    as frames_intersect says.
+
+    A sweep in x: with the frames sorted by left side, the frames whose box
+    overlaps f's in x and that come after f are those whose left side lies
+    in [f.l, f.r], a window found by bisection.  As g.l >= f.l, only g can
+    sit inside f and only g can escape f.  A crossing (f, g) is checked
+    against the frames h with g.l < h.l < f.r, the only ones that can
+    escalate it, in a second window.  Pairs and triples are sorted back into
+    the order of fs, so the report lists them as a pair loop over fs would.
+    The cost is O(n log n) plus the pairs that overlap in x and the triple
+    windows.
+    """
+    boxes = sorted((f.l, f.r, f.b, f.t, i, f.id) for i, f in enumerate(fs))
+    lefts = [box[0] for box in boxes]
     crossings = []
     nestings = []
-    for i, f in enumerate(fs):
-        for g in fs[i + 1:]:
-            if f.r < g.l or g.r < f.l or f.t < g.b or g.t < f.b:
+    meets = []
+    escalated = []  # (min(i, j), max(i, j), f, g, hits) for crossings (f, g)
+    for k, (l, r, b, t, i, f) in enumerate(boxes):
+        for l2, r2, b2, t2, j, g in boxes[k + 1:bisect_right(lefts, r, k + 1)]:
+            if t < b2 or t2 < b:
                 continue  # the boxes are apart
-            if _inside(f, g):
-                nestings.append((f, g))
-            elif _inside(g, f):
+            if l < l2 and r2 < r and b < b2 and t2 < t:
                 nestings.append((g, f))
-            elif _crossing(f, g):
+            elif l < l2 and r < r2 and b < b2 and t2 < t:
                 crossings.append((f, g))
-            elif _crossing(g, f):
-                crossings.append((g, f))
-            else:  # the boundaries meet, as frames_intersect says
-                viols.append(Violation("pair-pattern", (f.id, g.id)))
-    for f, g in crossings:
-        for h in fs:
-            if h.id == f.id or h.id == g.id:
-                continue
-            if g.l < h.l < f.r and g.b < h.b and h.t < g.t:
-                viols.append(Violation("triple-pattern", (f.id, g.id, h.id)))
-    return VerificationReport(tuple(viols)), crossings, nestings
+                lo = bisect_right(lefts, l2, k + 1)
+                hits = [
+                    h
+                    for _, _, hb, ht, h, _ in boxes[lo:bisect_left(lefts, r, lo)]
+                    if b2 < hb and ht < t2
+                ]
+                if hits:
+                    escalated.append((min(i, j), max(i, j), f, g, sorted(hits)))
+            else:
+                meets.append((i, j, f, g) if i < j else (j, i, g, f))
+    # Index pairs are unique, so these sorts never compare ids.
+    meets = [(f, g) for _, _, f, g in sorted(meets)]
+    escalated.sort()
+    viols = [Violation("pair-pattern", pair) for pair in meets]
+    viols.extend(
+        Violation("triple-pattern", (f, g, fs[h].id))
+        for _, _, f, g, hits in escalated
+        for h in hits
+    )
+    return VerificationReport(tuple(viols)), crossings, nestings, meets
 
 
 def verify_strict(family: FrameFamily) -> VerificationReport:
-    """Check strictness: pair patterns and the three-frame escalation."""
+    """Check strictness: pair patterns and the three-frame escalation, by
+    one sweep in x (see _scan)."""
     return _scan(family.frames)[0]
 
 
@@ -173,27 +199,22 @@ def extract_burling(family: FrameFamily) -> BurlingSet:
     crossing gives adj.  Strict families and Burling sets describe the same
     graphs, so the result is not verified again."""
     fs = family.frames
-    report, crossings, nestings = _scan(fs)
+    report, crossings, nestings, _ = _scan(fs)
     if not report.ok:
         raise InputError(f"family is not strict: {report.lines()[0]}")
     if not fs:
         raise InputError("cannot extract from an empty family")
-    return BurlingSet(
-        (f.id for f in fs),
-        ((f.id, g.id) for f, g in nestings),
-        ((g.id, f.id) for f, g in crossings),
-    )
+    return BurlingSet((f.id for f in fs), nestings, ((g, f) for f, g in crossings))
 
 
 def intersection_graph(family: FrameFamily) -> Graph:
-    """One vertex per frame in id order, an edge per intersecting pair."""
+    """One vertex per frame in id order, an edge per intersecting pair: the
+    crossings and the other meeting pairs of _scan, since nested frames are
+    the only overlapping boxes whose boundaries do not meet."""
     fs = family.frames
-    edges = []
-    for i, f in enumerate(fs):
-        for j in range(i + 1, len(fs)):
-            if frames_intersect(f, fs[j]):
-                edges.append((i, j))
-    return Graph(len(fs), edges)
+    _, crossings, _, meets = _scan(fs)
+    index = {f.id: i for i, f in enumerate(fs)}
+    return Graph(len(fs), ((index[f], index[g]) for f, g in crossings + meets))
 
 
 # Horizontal symbols for element index i: left = 2i, right = 2i + 1.
