@@ -359,7 +359,8 @@ def induced_graph(b: BurlingSet) -> Graph:
 
 
 def restrict(b: BurlingSet, u) -> BurlingSet:
-    """The substructure induced on a non-empty subset u of the elements."""
+    """The substructure induced on a non-empty subset u of the elements.
+    Only the tests call it, the metamorphic ones for heredity."""
     u = frozenset(u)
     if not u:
         raise InputError("cannot restrict to an empty element set")
@@ -379,7 +380,8 @@ def outer_join(b1: BurlingSet, b2: BurlingSet, q) -> BurlingSet:
     root of b1, and q exposed in b2.  The result is the plain union of both
     structures; it is again a Burling set, every root of b2 stays a root,
     every probe of either side other than q stays a probe, and q stays
-    exposed.
+    exposed.  Only the generator's reference test and the benchmark tracer
+    call it.
     """
     shared = b1.elements & b2.elements
     if shared != frozenset((q,)):
@@ -406,7 +408,8 @@ def inner_join(b1: BurlingSet, b2: BurlingSet, s2_prime) -> BurlingSet:
     adj-targets of q inside b2 for every q in Q (the same set for all of
     them).  The result keeps both structures, and additionally every element
     of b1 outside b2 goes strictly inside every element of s2_prime.  Roots
-    of b2 outside b1 stay roots; probes of b2 stay probes.
+    of b2 outside b1 stay roots; probes of b2 stay probes.  Only the
+    generator's reference test and the benchmark tracer call it.
     """
     q_set = b1.elements & b2.elements
     if not q_set:

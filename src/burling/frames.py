@@ -12,10 +12,11 @@ escaping y.
 build_frames realizes a Burling set as such a family with integer
 coordinates 1..2|S| per axis.  Horizontal coordinates come from a
 topological sort of a constraint system over the symbols l_x, r_x, stated
-on prec's cover forest; vertical coordinates are DFS enter/exit times on
-the parent forest of the combined relation.  Both forests come from the
-set's relation index (see core.BurlingSet), and the horizontal system is
-sorted by the same smallest-first Kahn sort.
+on prec's cover forest and adj, of a size linear in |S| plus the covers
+and |adj|; vertical coordinates are DFS enter/exit times on the parent
+forest of the combined relation.  Both forests come from the set's
+relation index (see core.BurlingSet), and the horizontal system is sorted
+by the same smallest-first Kahn sort.
 extract_burling inverts the construction for any strict family.  It,
 verify_strict and intersection_graph read one sweep in x over the frames,
 which compares only frames that overlap in x and checks each crossing
@@ -210,7 +211,8 @@ def extract_burling(family: FrameFamily) -> BurlingSet:
 def intersection_graph(family: FrameFamily) -> Graph:
     """One vertex per frame in id order, an edge per intersecting pair: the
     crossings and the other meeting pairs of _scan, since nested frames are
-    the only overlapping boxes whose boundaries do not meet."""
+    the only overlapping boxes whose boundaries do not meet.  Only the
+    tests call it."""
     fs = family.frames
     _, crossings, _, meets = _scan(fs)
     index = {f.id: i for i, f in enumerate(fs)}
@@ -220,23 +222,23 @@ def intersection_graph(family: FrameFamily) -> Graph:
 # Horizontal symbols for element index i: left = 2i, right = 2i + 1.
 
 
-def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
+def horizontal_constraints(b: BurlingSet) -> list:
     """The strictly-less-than constraints on horizontal symbols, as ordered
     pairs (smaller symbol, larger symbol), deduplicated and sorted.
 
     For every cover a of c in prec's cover forest and every adj pair a, c,
     l_c < l_a < r_c; r_a < r_c for a cover and r_c < r_a across adj; and
-    whenever y is a child or an adj-in-neighbour of some z that crosses out
-    of x, x lies entirely left of y.  Left sides fall and right sides rise
-    down the forest, so these imply the same for all of prec's closure.  In
-    linear mode that last group is emitted only for the prec-maximal
-    crossing, which the others follow from; the count is then linear in |S|
-    plus the covers and |adj|.  Both modes give the same horizontal_order.
+    whenever y is a child or an adj-in-neighbour of z and x is z's last
+    adj-target in the set's topological order, x lies entirely left of y.
+    z's adj-targets form a prec-chain with x on top, so the rest follow.
+    Left sides fall and right sides rise down the forest, so all of these
+    imply the same for prec's closure.  The count is linear in |S| plus the
+    covers and |adj|.
     """
     order = b._order
     idx = {x: i for i, x in enumerate(order)}
-    up = b._forest[2]
-    out_prec = b._prec_maps[0]
+    topo, _, up = b._forest
+    pos = {x: i for i, x in enumerate(topo)}
     out_adj, in_adj = b._adj_maps
     cons = set()
     children = {x: [] for x in order}
@@ -253,37 +255,18 @@ def horizontal_constraints(b: BurlingSet, linear: bool = False) -> list:
         cons.add((2 * idx[a], 2 * idx[c] + 1))
         cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
     for z in order:
-        targets = out_adj[z]
-        if not targets:
-            continue
-        escapes = in_adj[z].union(children[z])
-        if linear and escapes:
-            targets = [_prec_max(out_prec, targets)]
-        for x in targets:
-            for y in escapes:
-                cons.add((2 * idx[x] + 1, 2 * idx[y]))
+        if out_adj[z]:
+            right = 2 * idx[max(out_adj[z], key=pos.__getitem__)] + 1
+            for y in in_adj[z].union(children[z]):
+                cons.add((right, 2 * idx[y]))
     return sorted(cons)
 
 
-def _prec_max(out_prec, targets) -> object:
-    """The prec-greatest member of a set of adj-targets of one element.
-
-    Such targets form a prec-chain in a valid set; its top has the fewest
-    prec-targets.
-    """
-    top = min(targets, key=lambda t: len(out_prec[t]))
-    if any(u != top and top not in out_prec[u] for u in targets):
-        raise ContractError(
-            f"adjacency targets {sorted(targets)!r} are not totally ordered"
-        )
-    return top
-
-
-def horizontal_order(b: BurlingSet, linear: bool = False) -> dict:
+def horizontal_order(b: BurlingSet) -> dict:
     """Map each element to its (left, right) coordinates, values 1..2|S|."""
     order = b.ordered()
     succ = [[] for _ in range(2 * len(order))]
-    for a, c in horizontal_constraints(b, linear):
+    for a, c in horizontal_constraints(b):
         succ[a].append(c)
     symbols = _topo_sort(range(len(succ)), succ)
     if symbols is None:
@@ -334,8 +317,9 @@ def vertical_order(b: BurlingSet) -> dict:
 
 
 def build_frames(b: BurlingSet, linear: bool = False) -> FrameFamily:
-    """A strict frame family realizing b, integer coordinates 1..2|S|."""
-    horiz = horizontal_order(b, linear)
+    """A strict frame family realizing b, integer coordinates 1..2|S|.
+    linear is ignored, kept for callers that still pass it."""
+    horiz = horizontal_order(b)
     vert = vertical_order(b)
     return FrameFamily(
         Frame(x, horiz[x][0], horiz[x][1], vert[x][0], vert[x][1])

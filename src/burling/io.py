@@ -35,6 +35,7 @@ def _data_lines(text: str):
 
 
 def parse_graph_text(text: str) -> Graph:
+    """The graph in graph text, checked as the module docstring states."""
     lines = list(_data_lines(text))
     if not lines:
         raise InputError("graph file has no data lines")
@@ -86,6 +87,7 @@ def _pair_list(raw, key: str) -> list:
 
 
 def load_burling_json(text: str) -> BurlingSet:
+    """The Burling set in Burling set JSON; the axioms are not checked."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -104,6 +106,7 @@ def load_burling_json(text: str) -> BurlingSet:
 
 
 def dump_burling_json(b: BurlingSet) -> str:
+    """Burling set JSON of b, names as strings, names and pairs sorted."""
     doc = {
         "elements": [str(x) for x in b.ordered()],
         "prec": sorted([str(a), str(c)] for a, c in b.prec),
@@ -139,10 +142,12 @@ def frame_records(text: str) -> list:
 
 
 def load_frames_json(text: str) -> FrameFamily:
+    """The frame family in frames JSON, ids as strings."""
     return FrameFamily(Frame(*rec) for rec in frame_records(text))
 
 
 def dump_frames_json(family: FrameFamily) -> str:
+    """Frames JSON of the family, one object per frame in id order."""
     doc = [
         {"id": str(f.id), "l": f.l, "r": f.r, "b": f.b, "t": f.t}
         for f in family

@@ -69,7 +69,8 @@ def chordal_relation(b: BurlingSet) -> frozenset:
 
     Chordal means acyclic with every out-target pair related in some
     direction.  All of it follows from the axioms, so a failure here is a
-    bug in the caller or this package, not bad input.
+    bug in the caller or this package, not bad input.  Only the tests and
+    the benchmark tracer call it.
     """
     b._forest  # checked while the set's relation forests are built
     return b.prec | b.adj
@@ -78,7 +79,8 @@ def chordal_relation(b: BurlingSet) -> frozenset:
 def mwis_chordal(elements, rel, weights) -> tuple:
     """Maximum-weight independent set of the graph whose edges are the
     related pairs, via the two-phase greedy over a perfect elimination
-    order.  Returns (frozenset, weight).  Empty element set is fine.
+    order.  Returns (frozenset, weight).  Empty element set is fine.  Only
+    the tests and the benchmark tracer call it.
     """
     order = sorted(elements)
     _check_weights(order, weights)

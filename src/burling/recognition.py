@@ -396,7 +396,8 @@ def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     """The Burling set the dynamic program builds for one subproblem:
     unrooted(S) when root is None, else rooted(root, S); None when it has
     no solution.  s is a non-empty connected vertex set, as an iterable,
-    and root a neighbor of s outside it; anything else is an InputError."""
+    and root a neighbor of s outside it; anything else is an InputError.
+    Only the tests call it, to check single subproblems."""
     comps = components(g, s)
     if len(comps) != 1:
         raise InputError("s must be a non-empty connected vertex set")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .frames import FrameFamily
 
@@ -46,7 +46,7 @@ def render_svg(family: FrameFamily) -> str:
         label_y = (sy(f.t) + sy(f.b)) / 2
         parts.append(
             f'  <text x="{sx(f.l) + 2}" y="{label_y:g}" font-size="8" '
-            f'font-family="sans-serif">{escape(str(f.id))}</text>'
+            f'font-family="sans-serif">{escape(str(f.id), quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -370,23 +370,21 @@ def test_intersection_graph_fig3():
 
 def test_round_trip_both_modes():
     b = fig3_set()
-    for linear in (False, True):
-        fam = build_frames(b, linear=linear)
-        assert verify_strict(fam).ok
-        assert extract_burling(fam) == b
-        # coordinates stay in the compact 1..2|S| band per axis
-        for f in fam:
-            assert 1 <= f.l < f.r <= 2 * 6
-            assert 1 <= f.b < f.t <= 2 * 6
+    fam = build_frames(b)
+    assert verify_strict(fam).ok
+    assert extract_burling(fam) == b
+    # coordinates stay in the compact 1..2|S| band per axis
+    for f in fam:
+        assert 1 <= f.l < f.r <= 2 * 6
+        assert 1 <= f.b < f.t <= 2 * 6
 
 
 def test_linear_mode_constraint_budget():
     b = fig3_set()
-    full = horizontal_constraints(b, linear=False)
-    lin = horizontal_constraints(b, linear=True)
-    assert set(lin) <= set(full)
+    cons = horizontal_constraints(b)
+    assert set(cons) <= _closure_constraints(b)[1]
     r = len(b.prec) + len(b.adj)
-    assert len(lin) <= 6 * (len(b.elements) + r)
+    assert len(cons) <= 6 * (len(b.elements) + r)
 
 
 def test_horizontal_cycle_is_contract_error():
@@ -418,17 +416,10 @@ def test_vertical_targets_not_a_chain_is_contract_error():
 def test_linear_mode_unordered_targets_is_contract_error():
     # Not a valid set: y and z are adj-targets of x with no pair between
     # them, so the combined relation is not chordal, which the relation
-    # index reports in both modes.
+    # index reports.
     bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z")])
-    for linear in (False, True):
-        with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x' are unrelated"):
-            horizontal_constraints(bad, linear=linear)
-    # Related by adj alone, y and z pass the chordality check, but linear
-    # mode still has no prec-greatest target to pick.
-    bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z"), ("y", "z")])
-    assert horizontal_constraints(bad)
-    with pytest.raises(ContractError, match="not totally ordered"):
-        horizontal_constraints(bad, linear=True)
+    with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x' are unrelated"):
+        horizontal_constraints(bad)
 
 
 def _closure_constraints(b):
@@ -471,9 +462,10 @@ def _closure_order(b):
 
 def test_both_constraint_modes_give_the_same_order():
     # The smallest-first Kahn order depends only on the transitive closure
-    # of the constraints.  Linear mode's constraints imply the others, and
-    # the constraints on prec's cover forest imply those on its closure, so
-    # every mode gives the order of the closure system.
+    # of the constraints.  The escape rule stated for each element's
+    # prec-greatest adj-target implies it for the others, and the
+    # constraints on prec's cover forest imply those on its closure, so the
+    # system gives the order of the closure system.
     rng = random.Random("modes")
     for seed in range(150):
         cfg = GeneratorConfig(
@@ -484,8 +476,7 @@ def test_both_constraint_modes_give_the_same_order():
         )
         b = gen_burling(cfg)
         expected = _closure_order(b)
-        assert horizontal_order(b, False) == expected
-        assert horizontal_order(b, True) == expected
+        assert horizontal_order(b) == expected
 
 
 _FRAMES_CHILD = """
@@ -546,8 +537,7 @@ import resource, time
 from burling import GeneratorConfig, build_frames, gen_burling
 b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
 start = time.perf_counter()
-for linear in (False, True):
-    build_frames(b, linear)
+build_frames(b)
 elapsed = time.perf_counter() - start
 print(len(b.elements), elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -555,8 +545,8 @@ print(len(b.elements), elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 
 def test_frames_at_n_2000_within_memory_and_time_budget():
     # The set's 2000 elements carry about 514 000 prec pairs but under 2000
-    # covers, and the constraints follow the covers.  Only the two
-    # build_frames calls are timed.
+    # covers, and the constraints follow the covers.  Only the build_frames
+    # call is timed.
     size, elapsed, peak_kib = _child_output(_FRAMES_SCALE_CHILD)
     assert size == "2000"
     assert float(elapsed) < 3.0

@@ -356,7 +356,7 @@ def test_solve_indep_matches_per_cone_reference_on_benchmark_shape():
 
 
 def test_solve_indep_sorts_topologically_once(monkeypatch):
-    # verify_axioms, solve_indep and build_frames in both modes share one
+    # verify_axioms, solve_indep and build_frames share one
     # relation index: the prec and adj maps and one topological order of
     # the elements, which cones restrict.  The other sorts are of the 2n
     # horizontal symbols.
@@ -382,9 +382,8 @@ def test_solve_indep_sorts_topologically_once(monkeypatch):
     solve_indep(fresh, _unit(fresh.elements))
     assert sorts == [60]
     build_frames(fresh)
-    build_frames(fresh, linear=True)
     assert sorted(maps) == sorted([len(b.prec), len(b.adj)])
-    assert sorted(sorts) == [60, 120, 120]
+    assert sorted(sorts) == [60, 120]
 
 
 def _path_mwis(ws):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import burling
 from burling import (
     BurlingSet,
     Frame,
@@ -302,6 +307,45 @@ def test_render_svg_singleton():
 def test_render_svg_escapes_labels():
     fam = FrameFamily([Frame("a<b", 0, 2, 0, 2)])
     assert "a&lt;b" in render_svg(fam)
+    # Only &, < and > are replaced; quotes stay as they are in text content.
+    fam = FrameFamily([Frame("a&<>\"'b", 0, 2, 0, 2)])
+    assert render_svg(fam) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="40" height="40" viewBox="0 0 40 40">\n'
+        '  <rect x="10" y="10" width="20" height="20" '
+        'fill="none" stroke="black" stroke-width="1"/>\n'
+        '  <text x="12" y="20" font-size="8" '
+        'font-family="sans-serif">a&amp;&lt;&gt;"\'b</text>\n'
+        "</svg>\n"
+    )
+
+
+def test_every_public_name_has_a_docstring():
+    bare = [
+        name
+        for name in burling.__all__
+        if not (getattr(burling, name).__doc__ or "").strip()
+    ]
+    assert bare == []
+
+
+def test_import_loads_no_url_handling():
+    # xml.sax.saxutils would pull in urllib.request and http.client, a
+    # large share of the package's import time.
+    src = str(Path(burling.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, burling; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+        check=True,
+    )
+    loaded = out.stdout.strip()[1:-1].replace("'", "").split(", ")
+    assert "burling.svg" in loaded
+    assert "urllib.request" not in loaded
+    assert "http.client" not in loaded
 
 
 def test_render_svg_is_well_formed():
