@@ -18,6 +18,7 @@ Weights: one line per element, "name weight", nonnegative integers.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import BurlingSet
 from .errors import InputError
@@ -105,14 +106,33 @@ def load_burling_json(text: str) -> BurlingSet:
     return BurlingSet(names, prec, adj)
 
 
+def _array(items: list, depth: int) -> str:
+    """The JSON array of items (each already JSON text), laid out as
+    json.dumps(..., indent=1) lays out an array at nesting depth depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+
+
+def _pairs(relation) -> str:
+    """The relation's pairs, named and sorted, as the "prec" or "adj" array
+    of a dump."""
+    named = sorted((str(a), str(c)) for a, c in relation)
+    return _array([f"[\n   {_quote(a)},\n   {_quote(c)}\n  ]" for a, c in named], 1)
+
+
 def dump_burling_json(b: BurlingSet) -> str:
-    """Burling set JSON of b, names as strings, names and pairs sorted."""
-    doc = {
-        "elements": [str(x) for x in b.ordered()],
-        "prec": sorted([str(a), str(c)] for a, c in b.prec),
-        "adj": sorted([str(a), str(c)] for a, c in b.adj),
-    }
-    return json.dumps(doc, indent=1)
+    """Burling set JSON of b, names as strings, names and pairs sorted.
+
+    The text is json.dumps(doc, indent=1) of the document, written out
+    directly: most of a dump is its pairs, and the encoder would lay out
+    each one in Python."""
+    elements = _array([_quote(str(x)) for x in b.ordered()], 1)
+    return (
+        f'{{\n "elements": {elements},\n "prec": {_pairs(b.prec)},\n'
+        f' "adj": {_pairs(b.adj)}\n}}'
+    )
 
 
 def frame_records(text: str) -> list:
@@ -147,12 +167,16 @@ def load_frames_json(text: str) -> FrameFamily:
 
 
 def dump_frames_json(family: FrameFamily) -> str:
-    """Frames JSON of the family, one object per frame in id order."""
-    doc = [
-        {"id": str(f.id), "l": f.l, "r": f.r, "b": f.b, "t": f.t}
-        for f in family
-    ]
-    return json.dumps(doc, indent=1)
+    """Frames JSON of the family, one object per frame in id order, laid
+    out as json.dumps(..., indent=1) lays it out."""
+    return _array(
+        [
+            f'{{\n  "id": {_quote(str(f.id))},\n  "l": {f.l:d},\n  "r": {f.r:d},\n'
+            f'  "b": {f.b:d},\n  "t": {f.t:d}\n }}'
+            for f in family
+        ],
+        0,
+    )
 
 
 def parse_weights(text: str, names) -> dict:

@@ -22,6 +22,17 @@ searches are ORs of adjacency masks.  The components of S-r for every
 candidate root r of an unrooted subproblem come from one articulation-point
 depth-first search of S.
 
+An unrooted subproblem tries its candidate roots by their degree inside
+N[S], highest first, ties in ascending vertex order.  A vertex of S has all
+its neighbors in N[S], so that degree is its degree in the graph, and one
+order of the vertices, fixed up front, serves every subproblem.
+unrooted(S) is solvable exactly when some root works, and each subproblem's
+answer depends only on its key, so the order cannot change a verdict: it
+decides only how soon a working root is found and which witness is built.
+Ascending vertex order alone made the cost depend on the labelling, since a
+generator that gives enclosing elements high ids leaves the working roots
+last.
+
 The memo keeps only each subproblem's plan: for unrooted(S) the chosen root
 and its components, for rooted(r, S) the inner, outer and pendant parts and
 the nesting order of the inner parts; a failed subproblem is kept as None.
@@ -79,8 +90,10 @@ class _Recognizer:
 
     The component's vertices, names[0] < names[1] < ..., are numbered 0, 1,
     ... in the masks, so masks are as wide as the component and every order
-    the program follows is the order of the names.  plans maps (None, S) to
-    an unrooted plan (r, components) and (r, S) to a rooted plan (inner,
+    the program follows is the order of the names, except the order in
+    which roots are tried: turn[v] sorts v by degree, highest first, then
+    by name (see the module docstring).  plans maps (None, S) to an
+    unrooted plan (r, components) and (r, S) to a rooted plan (inner,
     outer, pendant, order), or either to None when the subproblem has no
     solution.
     """
@@ -92,6 +105,8 @@ class _Recognizer:
         self.bit = [1 << i for i in range(len(names))]
         number = {v: i for i, v in enumerate(names)}
         self.adj = [sum(self.bit[number[w]] for w in g.adj[v]) for v in names]
+        n = len(names)
+        self.turn = [i - n * a.bit_count() for i, a in enumerate(self.adj)]
         self.plans = {}
 
     # -- vertex sets ------------------------------------------------------
@@ -105,10 +120,10 @@ class _Recognizer:
             m ^= low
         return acc
 
-    def _components(self, s: int) -> list:
+    def _components(self, s: int):
         """The components of g[s], ordered by smallest vertex, each with
-        the union of its vertices' neighborhoods: [(component, around)]."""
-        out = []
+        the union of its vertices' neighborhoods: yields (component,
+        around), so a caller that stops early searches no further."""
         while s:
             comp = frontier = s & -s
             s ^= comp
@@ -119,8 +134,7 @@ class _Recognizer:
                 frontier = step & s
                 s ^= frontier
                 comp |= frontier
-            out.append((comp, around))
-        return out
+            yield comp, around
 
     def _cut_search(self, s: int):
         """Depth-first search of the connected set s from its smallest
@@ -129,8 +143,8 @@ class _Recognizer:
         Returns (bits, size, low, rank): per preorder position i, the bit
         of the i-th vertex visited, the size of its subtree (positions i to
         i + size[i] - 1) and the smallest position adjacent to that subtree
-        (itself included); rank lists the positions in ascending vertex
-        order.  A child c of the vertex at position i is cut off from the
+        (itself included); rank lists the positions in the order roots are
+        tried.  A child c of the vertex at position i is cut off from the
         rest by removing it exactly when low[c] >= i.
         """
         adj, bit = self.adj, self.bit
@@ -168,7 +182,8 @@ class _Recognizer:
                     p = path[-1][0]
                     if low[i] < low[p]:
                         low[p] = low[i]
-        rank = array("i", sorted(range(len(bits)), key=bits.__getitem__))
+        turn = [self.turn[b.bit_length() - 1] for b in bits]
+        rank = array("i", sorted(range(len(bits)), key=turn.__getitem__))
         return bits, size, low, rank
 
     # -- the subproblems ----------------------------------------------------

@@ -245,6 +245,29 @@ def test_dump_burling_json_is_sorted_json():
     assert data["adj"][0] == ["b", "a"]
 
 
+# Names that JSON escapes, and whose raw and escaped forms sort differently
+# ("z\n" < "é" but "\\u00e9" < "z\\n").
+_ESCAPED = ['a"b', "back\\slash", "z\n", "\u00e9", "\u2603"]
+
+
+def _generated_sets():
+    return [gen_burling(GeneratorConfig(seed=seed, target_size=30)) for seed in range(20)]
+
+
+def test_dump_burling_json_matches_the_json_encoder():
+    sets = [
+        BurlingSet("ab"),  # empty prec and adj
+        BurlingSet(_ESCAPED, prec=[("\u00e9", 'a"b')], adj=[("z\n", 'a"b'), ("\u2603", "\u00e9")]),
+    ]
+    for b in sets + _generated_sets():
+        doc = {
+            "elements": [str(x) for x in b.ordered()],
+            "prec": sorted([str(a), str(c)] for a, c in b.prec),
+            "adj": sorted([str(a), str(c)] for a, c in b.adj),
+        }
+        assert dump_burling_json(b) == json.dumps(doc, indent=1)
+
+
 # ----------------------------------------------------------------- frames json
 
 
@@ -252,6 +275,17 @@ def test_frames_json_round_trip():
     fam = build_frames(fig3_set())
     again = load_frames_json(dump_frames_json(fam))
     assert again == fam
+
+
+def test_dump_frames_json_matches_the_json_encoder():
+    families = [
+        FrameFamily([]),
+        FrameFamily([Frame('a"b', 0, 5, 0, 5), Frame("\u00e9", 1, 4, 1, 4), Frame("z\n", 2, 3, 2, 3)]),
+    ]
+    families += [build_frames(b) for b in _generated_sets()]
+    for fam in families:
+        doc = [{"id": str(f.id), "l": f.l, "r": f.r, "b": f.b, "t": f.t} for f in fam]
+        assert dump_frames_json(fam) == json.dumps(doc, indent=1)
 
 
 def _frame_obj(fid, l, r, b, t):
