@@ -11,6 +11,10 @@ unrooted and rooted subproblems the run creates and the SHA-256 of the
 witness's JSON; for graphs of the benchmark's reject pool it pins the
 verdict and the two counts.  Equal counts mean the rewrite explores the
 same subproblems; equal hashes mean it builds the same witness.
+
+Each case keeps the test id of its first recording, made in ascending
+vertex order: the id lists the case's parameters with that recording's
+counts (and witness hash), so re-recording a pin does not rename its test.
 """
 
 from __future__ import annotations
@@ -49,6 +53,21 @@ ACCEPTED = (
     (111, 48, 0.5, 0.5, 22, 54, "1f74e2afc8a4038b5eb320841b0ebabd3d498031e508ae47087e72110d09179f"),
 )
 
+ACCEPTED_IDS = (
+    "100-24-0.8-0.2-10-14-a015d395c002afac80e93ea02af49e1116e6993dec16a9349aaa926091118e9c",
+    "101-32-0.5-0.5-38-403-13dfead1f256f6f73db64728bbf69b5145d20aff68205b23036fc27896f82c54",
+    "102-32-0.8-0.2-18-51-e9c70b8f638e023f5b00790fdc67d6cc1a4c379d4343f96b8bc21787da5da1ca",
+    "103-40-0.5-0.5-48-693-137ca99f3187152c2789f42cb2ec765257ccadca71cd00265b3209fd8e40857c",
+    "104-40-0.8-0.2-30-175-1643e6c4d8bba01a0d197034d6eabb48ce7a460c18e1bef9ac9d8bc1afa58fe4",
+    "105-48-0.5-0.5-29-70-81ae458177c826088309f3d2963bf8b0d23ab04847588f990edad3404a51a5d0",
+    "106-24-0.8-0.2-11-13-883a3b74c33d27517c1cb17e1e76af4d202d27736eaf191f08a677f1123ff1ab",
+    "107-32-0.5-0.5-17-18-4aaf6a69bd0c856230c7056fc70ef7dd07a14fcb044e8eec26aef7cf3a8020fe",
+    "108-32-0.8-0.2-20-24-02879538d3419c5438e459cb754a68bce6dbe833d8d2f8e3f8c6b8824c30d3d8",
+    "109-40-0.5-0.5-21-100-db4b5b26c35d5c1f6d3827bafad7ad8b797c683c9f76215ec428baa78620c0d7",
+    "110-40-0.8-0.2-35-610-c65f6730b9578ef2d3c18f1491a71e9e491a67f8ebd8172f8ca81814705cd510",
+    "111-48-0.5-0.5-27-59-9012eab62f8c790e218930e7c9b02b18ff2d7ed10726024b7de35827ec1e277d",
+)
+
 # (index in the reject pool, unrooted, rooted); indices 0 and 75 are sparse
 # random graphs, the others near-misses
 REJECTED = (
@@ -60,6 +79,8 @@ REJECTED = (
     (149, 46, 773),
 )
 
+REJECTED_IDS = ("0-37-411", "1-39-623", "40-43-1012", "75-33-379", "110-39-951", "149-44-773")
+
 
 def _relabelled(g, rng):
     perm = list(range(g.n))
@@ -67,7 +88,9 @@ def _relabelled(g, rng):
     return Graph(g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
 
 
-@pytest.mark.parametrize("seed, n, probe_bias, join_mix, unrooted, rooted, digest", ACCEPTED)
+@pytest.mark.parametrize(
+    "seed, n, probe_bias, join_mix, unrooted, rooted, digest", ACCEPTED, ids=ACCEPTED_IDS
+)
 def test_accepted_run_is_pinned(seed, n, probe_bias, join_mix, unrooted, rooted, digest):
     b = gen_burling(
         GeneratorConfig(seed=seed, target_size=n, probe_bias=probe_bias, join_mix=join_mix)
@@ -79,7 +102,7 @@ def test_accepted_run_is_pinned(seed, n, probe_bias, join_mix, unrooted, rooted,
     assert hashlib.sha256(dump_burling_json(w).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("index, unrooted, rooted", REJECTED)
+@pytest.mark.parametrize("index, unrooted, rooted", REJECTED, ids=REJECTED_IDS)
 def test_rejected_run_is_pinned(index, unrooted, rooted):
     n, edges, _ = json.loads(REJECT_POOL.read_text())["graphs"][index]
     w, stats = recognize_with_stats(Graph(n, [tuple(e) for e in edges]))
