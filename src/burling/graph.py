@@ -1,10 +1,11 @@
 """Simple undirected graphs on dense integer vertices.
 
 Vertices are the integers 0..n-1.  Besides the graph type itself this module
-carries the set machinery the recognizer is built on: neighborhoods of vertex
-sets, connected components of induced subgraphs, triangle detection, and
-nesting orders of set families, which rest on homogeneity of one set toward
-another.
+holds the vertex-set helpers on Graph: neighborhoods, connected components
+of induced subgraphs, triangle detection, and nesting orders of set
+families, which rest on homogeneity of one set toward another.  The
+recognizer runs on its own bitmasks and calls only components,
+is_triangle_free and nesting_order.
 """
 
 from __future__ import annotations
@@ -65,21 +66,14 @@ def _as_vertex_set(g: Graph, s: Iterable[int]) -> frozenset:
     return out
 
 
-def neighborhood(g: Graph, s: Iterable[int], closed: bool = False) -> tuple[int, ...]:
-    """Open neighborhood N(s) of a vertex set, or closed N[s] with closed=True.
-
-    N(s) is the set of vertices outside s with at least one neighbor in s.
-    Returned sorted ascending.
-    """
+def neighborhood(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
+    """Open neighborhood N(s) of a vertex set: the vertices outside s with
+    at least one neighbor in s, sorted ascending."""
     sset = _as_vertex_set(g, s)
     acc = set()
     for v in sset:
         acc |= g.adj[v]
-    if closed:
-        acc |= sset
-    else:
-        acc -= sset
-    return tuple(sorted(acc))
+    return tuple(sorted(acc - sset))
 
 
 def components(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
@@ -87,19 +81,13 @@ def components(g: Graph, s: Iterable[int]) -> list[tuple[int, ...]]:
 
     Each component is a sorted tuple; the list is ordered by smallest member.
     """
-    sset = _as_vertex_set(g, s)
-    return [tuple(sorted(c)) for c in _components_sets(g, sset)]
-
-
-def _components_sets(g: Graph, sset: frozenset) -> list[frozenset]:
-    """Components of g[sset] as frozensets, ordered by minimum vertex."""
-    remaining = set(sset)
+    remaining = set(_as_vertex_set(g, s))
     out = []
-    for start in sorted(sset):
+    for start in sorted(remaining):
         if start not in remaining:
             continue
         remaining.discard(start)
-        comp = {start}
+        comp = [start]
         frontier = {start}
         while frontier:
             new = set()
@@ -107,9 +95,9 @@ def _components_sets(g: Graph, sset: frozenset) -> list[frozenset]:
                 new |= g.adj[v]
             new &= remaining
             remaining -= new
-            comp |= new
+            comp += new
             frontier = new
-        out.append(frozenset(comp))
+        out.append(tuple(sorted(comp)))
     return out
 
 

@@ -51,13 +51,17 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .core import BurlingSet, classify_elements, induced_graph, verify_axioms
+from .core import BurlingSet
 from .errors import ContractError, InputError
 from .graph import Graph, components, is_triangle_free, neighborhood, nesting_order
 
 
 @dataclass(frozen=True)
 class RecognitionStats:
+    """How many distinct subproblems one recognition run created, solved
+    or failed: unrooted(S) ones and rooted(r, S) ones, over the components
+    up to and including the first that has no solution."""
+
     unrooted_count: int
     rooted_count: int
 
@@ -98,10 +102,9 @@ class _Recognizer:
     solution.
     """
 
-    def __init__(self, g: Graph, names: tuple, debug: bool = False):
+    def __init__(self, g: Graph, names: tuple):
         self.g = g
         self.names = names
-        self.debug = debug
         self.bit = [1 << i for i in range(len(names))]
         number = {v: i for i, v in enumerate(names)}
         self.adj = [sum(self.bit[number[w]] for w in g.adj[v]) for v in names]
@@ -203,8 +206,6 @@ class _Recognizer:
             except StopIteration as done:
                 stack.pop()
                 value = plans[top] = done.value
-                if self.debug and value is not None:
-                    self._assert_solution(top)
                 continue
             if child in plans:
                 value = plans[child]
@@ -342,70 +343,6 @@ class _Recognizer:
             adj_pairs.update((name[p], name[q]) for p, q in pendant)
         return prec_pairs, adj_pairs
 
-    def structure(self, key) -> "BurlingSet | None":
-        """The Burling set on N[S] that the plan of the solved subproblem
-        key = (r, S) stands for, or None when it has no solution."""
-        if self.solve(key) is None:
-            return None
-        s = key[1]
-        nclosed = s | self._around(s)
-        prec, adj = self.pairs(key)
-        elements = frozenset(self.names[v] for v in _members(nclosed))
-        if any(x not in elements for pair in prec | adj for x in pair):
-            raise ContractError("subproblem solution covers the wrong element set")
-        return BurlingSet(elements, prec, adj)
-
-    def _assert_solution(self, key):
-        """Debug-mode postcondition check for one solved subproblem."""
-        root, s = key
-        b = self.structure(key)
-        report = verify_axioms(b)
-        if not report.ok:
-            raise ContractError(f"subproblem solution breaks axioms: {report.lines()[0]}")
-        order = b.ordered()
-        want = Graph(
-            len(order),
-            (
-                (i, j)
-                for i, x in enumerate(order)
-                for j, y in enumerate(order)
-                if i < j and y in self.g.adj[x]
-            ),
-        )
-        if induced_graph(b) != want:
-            raise ContractError("subproblem solution does not realize the induced subgraph")
-        name = self.names
-        cls = classify_elements(b)
-        probes = {name[p] for p in _members(self._around(s) & ~s) if p != root}
-        if not probes <= cls.probes:
-            raise ContractError("outside vertices are not all probes in the solution")
-        if root is not None and name[root] not in cls.roots:
-            raise ContractError("designated root is not a root in the solution")
-
-
-def _recognize(g: Graph, debug: bool):
-    """(witness or None, RecognitionStats): unrooted(C) for each component
-    C of g in turn, stopping at the first that has no solution."""
-    unrooted = rooted = 0
-    prec, adj = set(), set()
-    witness = None
-    if g.n and is_triangle_free(g):
-        for names in components(g, range(g.n)):
-            rec = _Recognizer(g, names, debug)
-            key = (None, (1 << len(names)) - 1)
-            solved = rec.solve(key) is not None
-            u = sum(1 for r, _ in rec.plans if r is None)
-            unrooted += u
-            rooted += len(rec.plans) - u
-            if not solved:
-                break
-            p, a = rec.pairs(key)
-            prec |= p
-            adj |= a
-        else:
-            witness = BurlingSet(range(g.n), prec, adj)
-    return witness, RecognitionStats(unrooted, rooted)
-
 
 def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     """The Burling set the dynamic program builds for one subproblem:
@@ -420,24 +357,47 @@ def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     if root is not None and root not in neighborhood(g, s):
         raise InputError(f"root {root!r} is not a neighbor of s outside it")
     names = next(c for c in components(g, range(g.n)) if s <= set(c))
-    rec = _Recognizer(g, names, debug=False)
+    rec = _Recognizer(g, names)
     number = {v: i for i, v in enumerate(names)}
-    local_root = None if root is None else number[root]
-    return rec.structure((local_root, sum(rec.bit[number[v]] for v in s)))
+    local = sum(rec.bit[number[v]] for v in s)
+    key = (None if root is None else number[root], local)
+    if rec.solve(key) is None:
+        return None
+    prec, adj = rec.pairs(key)
+    elements = frozenset(names[v] for v in _members(local | rec._around(local)))
+    if any(x not in elements for pair in prec | adj for x in pair):
+        raise ContractError("subproblem solution covers the wrong element set")
+    return BurlingSet(elements, prec, adj)
 
 
-def recognize(g: Graph, debug: bool = False) -> "BurlingSet | None":
+def recognize(g: Graph) -> "BurlingSet | None":
     """A Burling set whose adjacency graph is g, or None if none exists.
 
     Vertices of g become the elements of the result.  Graphs containing a
-    triangle are rejected up front.  With debug=True every solved
-    subproblem is re-checked against its postconditions, on the Burling set
-    built from its plan.
+    triangle are rejected up front.
     """
-    return _recognize(g, debug)[0]
+    return recognize_with_stats(g)[0]
 
 
-def recognize_with_stats(g: Graph, debug: bool = False):
-    """Like recognize, also reporting how many distinct subproblems the run
-    created (solved or failed)."""
-    return _recognize(g, debug)
+def recognize_with_stats(g: Graph):
+    """(recognize(g), RecognitionStats): unrooted(C) for each component C
+    of g in turn, stopping at the first that has no solution."""
+    unrooted = rooted = 0
+    prec, adj = set(), set()
+    witness = None
+    if g.n and is_triangle_free(g):
+        for names in components(g, range(g.n)):
+            rec = _Recognizer(g, names)
+            key = (None, (1 << len(names)) - 1)
+            solved = rec.solve(key) is not None
+            u = sum(1 for r, _ in rec.plans if r is None)
+            unrooted += u
+            rooted += len(rec.plans) - u
+            if not solved:
+                break
+            p, a = rec.pairs(key)
+            prec |= p
+            adj |= a
+        else:
+            witness = BurlingSet(range(g.n), prec, adj)
+    return witness, RecognitionStats(unrooted, rooted)

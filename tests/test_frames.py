@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import random
 import re
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import burling
 from burling import (
     BurlingSet,
     Frame,
@@ -504,27 +498,8 @@ print(
 """
 
 
-def _child_output(code) -> list:
-    """The words a child process running code prints, so that the peak
-    resident size it reports (KiB on Linux) is that run's alone."""
-    pytest.importorskip("resource")
-    src = str(Path(burling.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-        check=True,
-    )
-    return out.stdout.split()
-
-
-def test_large_families_within_memory_and_time_budget():
-    start = time.perf_counter()
-    round_trip, size, grid_strict, peak_kib = _child_output(_FRAMES_CHILD)
-    elapsed = time.perf_counter() - start
+def test_large_families_within_memory_and_time_budget(run_child):
+    (round_trip, size, grid_strict, peak_kib), elapsed = run_child(_FRAMES_CHILD)
     assert round_trip == "True"
     assert size == "20000"
     assert grid_strict == "True"
@@ -543,11 +518,11 @@ print(len(b.elements), elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 """
 
 
-def test_frames_at_n_2000_within_memory_and_time_budget():
+def test_frames_at_n_2000_within_memory_and_time_budget(run_child):
     # The set's 2000 elements carry about 514 000 prec pairs but under 2000
     # covers, and the constraints follow the covers.  Only the build_frames
     # call is timed.
-    size, elapsed, peak_kib = _child_output(_FRAMES_SCALE_CHILD)
+    (size, elapsed, peak_kib), _ = run_child(_FRAMES_SCALE_CHILD)
     assert size == "2000"
     assert float(elapsed) < 3.0
     assert int(peak_kib) < 300 * 1024
@@ -569,11 +544,11 @@ print(ok, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_frames_request_at_n_2000_within_memory_and_time_budget():
+def test_frames_request_at_n_2000_within_memory_and_time_budget(run_child):
     # A frames request on the set of the test above: the axioms are checked
     # through settled elements, not per prec pair, and strictness by a sweep
     # in x, not per pair of frames.  Generation is not timed.
-    ok, elapsed, peak_kib = _child_output(_STRICT_SCALE_CHILD)
+    (ok, elapsed, peak_kib), _ = run_child(_STRICT_SCALE_CHILD)
     assert ok == "True"
     assert float(elapsed) < 4.0
     assert int(peak_kib) < 300 * 1024

@@ -5,15 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import burling
 from burling import (
     BurlingSet,
     GeneratorConfig,
@@ -123,23 +117,8 @@ print(len(b.elements), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_large_set_within_memory_and_time_budget():
-    # A child process generates the set, so the peak resident size it
-    # reports (KiB on Linux) is that run's alone.
-    pytest.importorskip("resource")
-    src = str(Path(burling.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-c", _GEN_CHILD],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-        check=True,
-    )
-    elapsed = time.perf_counter() - start
-    size, peak_kib = out.stdout.split()
+def test_large_set_within_memory_and_time_budget(run_child):
+    (size, peak_kib), elapsed = run_child(_GEN_CHILD)
     assert size == "1000"
     assert int(peak_kib) < 150 * 1024
     assert elapsed < 10.0

@@ -32,7 +32,6 @@ def test_adjacency_is_symmetric():
 def test_neighborhood_open_and_closed():
     g = _p4()
     assert neighborhood(g, [1, 2]) == (0, 3)
-    assert neighborhood(g, [1, 2], closed=True) == (0, 1, 2, 3)
     assert neighborhood(g, [0]) == (1,)
     with pytest.raises(InputError):
         neighborhood(g, [7])

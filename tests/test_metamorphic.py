@@ -8,7 +8,10 @@ the axioms (they are universal statements about the elements they name) and
 can only lower the optimum.
 
 For graphs, relabelling the vertices does not change whether a graph is a
-Burling graph, and Burling graphs are closed under induced subgraphs.  The
+Burling graph, and Burling graphs are closed under induced subgraphs.
+Recognition treats the components of a graph one by one, so on a disjoint
+union it returns the union of the parts' witnesses and adds up their work,
+up to the first part that is rejected.  The
 non-Burling graphs come from the benchmark's reject pool; its near-misses
 are generated Burling graphs plus one recorded extra edge.
 """
@@ -30,6 +33,7 @@ from burling import (
     gen_burling,
     induced_graph,
     recognize,
+    recognize_with_stats,
     restrict,
     solve_indep,
     verify_axioms,
@@ -129,3 +133,34 @@ def test_near_misses_without_their_extra_edge_are_accepted():
         g = Graph(n, [tuple(e) for e in edges if e != extra])
         assert len(g.edges) == len(edges) - 1
         assert _witnesses(g, recognize(g))
+
+
+def _disjoint_union(g1, g2):
+    """g1 and g2 side by side, g2's vertices shifted by g1.n."""
+    k = g1.n
+    return Graph(k + g2.n, list(g1.edges) + [(u + k, v + k) for u, v in g2.edges])
+
+
+def _shifted(b, k):
+    return _relabel(b, {x: x + k for x in b.elements})
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_disjoint_union_is_recognized_part_by_part(seed):
+    rng = random.Random(seed)
+    g1, g2 = _generated_graph(rng, 2000 + seed), _generated_graph(rng, 3000 + seed)
+    w1, s1 = recognize_with_stats(g1)
+    w2, s2 = recognize_with_stats(g2)
+    w, s = recognize_with_stats(_disjoint_union(g1, g2))
+    assert w1 is not None and w2 is not None
+    w2 = _shifted(w2, g1.n)
+    assert w == BurlingSet(w1.elements | w2.elements, w1.prec | w2.prec, w1.adj | w2.adj)
+    assert s.unrooted_count == s1.unrooted_count + s2.unrooted_count
+    assert s.rooted_count == s1.rooted_count + s2.rooted_count
+
+    # a rejected first part ends the run before the second part is tried
+    n, edges, _ = REJECT_POOL[0]
+    r = Graph(n, [tuple(e) for e in edges])
+    w, s = recognize_with_stats(_disjoint_union(r, g1))
+    assert w is None
+    assert (s.unrooted_count, s.rooted_count) == (36, 400)

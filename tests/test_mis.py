@@ -3,16 +3,11 @@ per-cone reference, a linear path DP and a time and memory budget."""
 
 from __future__ import annotations
 
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import burling
 from burling import (
     BurlingSet,
     Graph,
@@ -416,24 +411,12 @@ print(ok, gen_s, path_s, total, peak)
 """
 
 
-def test_large_sets_within_memory_and_time_budget():
+def test_large_sets_within_memory_and_time_budget(run_child):
     # An n = 2000 generated set, and the witness of a 1000-vertex path:
     # its prec holds n^2/4 pairs and its cones are the deepest for their
-    # size.  A child process runs the solves, so the peak resident size it
-    # reports (KiB on Linux) is that run's alone; generating the set takes
-    # most of it.
-    pytest.importorskip("resource")
-    src = str(Path(burling.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", _SOLVE_CHILD],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-        check=True,
-    )
-    ok, gen_s, path_s, total, peak_kib = out.stdout.split()
+    # size.  A child process runs the solves; generating the set takes most
+    # of its peak resident size.
+    (ok, gen_s, path_s, total, peak_kib), _ = run_child(_SOLVE_CHILD)
     assert ok == "True"
     assert int(total) == _path_mwis([i * 7919 % 100 for i in range(1000)])
     assert float(gen_s) < 10.0

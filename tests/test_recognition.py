@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import burling
 from burling import (
     BurlingSet,
-    ContractError,
     GeneratorConfig,
     Graph,
     InputError,
@@ -163,7 +156,7 @@ def test_subproblem_structure_rejects_malformed_arguments(g, root, s, match):
         subproblem_structure(g, root, s)
 
 
-def test_debug_mode_asserts_solutions():
+def test_small_and_generated_graphs_are_sound():
     graphs = [Graph(4, edges) for edges in ([(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)], [])]
     # n = 30 graphs with 126 to 637 subproblems, 40 to 50 of them solved
     for seed, probe_bias, join_mix in ((0, 0.5, 0.5), (2, 0.8, 0.2), (4, 0.8, 0.2), (10, 0.5, 0.5)):
@@ -172,12 +165,12 @@ def test_debug_mode_asserts_solutions():
         )
         graphs.append(induced_graph(b))
     for g in graphs:
-        assert _sound(g, recognize(g, debug=True))
+        assert _sound(g, recognize(g))
 
 
-def test_debug_mode_catches_a_broken_plan(monkeypatch):
+def test_soundness_check_catches_a_broken_plan(monkeypatch):
     # an unrooted plan that forgets its components stands for a set that
-    # lacks their edges; debug mode checks the set built from each plan
+    # lacks their edges, and the witness check sees it
     solve = recognition._Recognizer._unrooted
 
     def forgetful(self, s):
@@ -187,8 +180,6 @@ def test_debug_mode_catches_a_broken_plan(monkeypatch):
     monkeypatch.setattr(recognition._Recognizer, "_unrooted", forgetful)
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert not _sound(g, recognize(g))
-    with pytest.raises(ContractError, match="induced subgraph"):
-        recognize(g, debug=True)
 
 
 def test_subproblem_count_bound():
@@ -237,43 +228,29 @@ print(w is not None, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def _recognize_in_child(graph: str):
-    """(accepted, peak resident KiB, seconds) of recognizing the graph that
-    the expression graph builds.  A child process runs it, so the peak
-    resident size it reports (KiB on Linux) is that run's alone."""
-    pytest.importorskip("resource")
-    src = str(Path(burling.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    start = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-c", _BUDGET_CHILD.format(graph=graph)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-        check=True,
-    )
-    elapsed = time.perf_counter() - start
-    accepted, peak_kib = out.stdout.split()
+def _recognize_in_child(run_child, graph: str):
+    """(accepted, peak resident KiB, seconds) of recognizing, in a child
+    process, the graph that the expression graph builds."""
+    (accepted, peak_kib), elapsed = run_child(_BUDGET_CHILD.format(graph=graph))
     return accepted == "True", int(peak_kib), elapsed
 
 
-def test_long_path_within_memory_and_time_budget():
+def test_long_path_within_memory_and_time_budget(run_child):
     # A path is a tree, so a Burling graph, and the longest chain of nested
     # subproblems for its size.
     accepted, peak_kib, elapsed = _recognize_in_child(
-        "Graph(400, [(i, i + 1) for i in range(399)])"
+        run_child, "Graph(400, [(i, i + 1) for i in range(399)])"
     )
     assert accepted
     assert peak_kib < 150 * 1024
     assert elapsed < 10.0
 
 
-def test_generated_graph_within_memory_and_time_budget():
+def test_generated_graph_within_memory_and_time_budget(run_child):
     # The generator gives enclosing elements high ids.  Trying roots in
     # ascending vertex order took 15.6 s on this graph; by degree, 2.1–2.5 s.
     accepted, peak_kib, elapsed = _recognize_in_child(
-        "induced_graph(gen_burling(GeneratorConfig(seed=1, target_size=400)))"
+        run_child, "induced_graph(gen_burling(GeneratorConfig(seed=1, target_size=400)))"
     )
     assert accepted
     assert peak_kib < 150 * 1024

@@ -189,6 +189,7 @@ def test_parse_graph_text_rejections():
         "3\n0 1 2\n",
         "3\n0 a\n",
         "3\n0 3\n",
+        "3\n-1 2\n",
         "3\n1 1\n",
         "3\n0 1\n0 1\n",
         "3\n0 1\n1 0\n",
