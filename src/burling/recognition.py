@@ -1,5 +1,24 @@
 """Deciding whether a graph is a Burling graph.
 
+Vertices of degree at most one are peeled off first, one at a time, until
+none is left; each peeled vertex v is recorded with its one neighbor u left
+at that time, or none.  What remains is the 2-core, and only its components
+go to the dynamic program below, in a graph that holds only the core's
+edges.  The peeled vertices are then attached back in reverse order: v gets
+the pair v adj u and the pairs v prec z for every z with u prec z, or no
+pair at all when it had no neighbor left.  This is exact.  Burling graphs
+are closed under induced subgraphs, so a Burling graph has a Burling core.
+Conversely each attachment keeps the axioms: v's prec-targets are u's, a
+chain closed under prec; v has a single adj-target; u prec z for each of
+v's prec-targets z, which adj-target-enclosed asks; v prec z for each of
+u's, which adj-extends-upward asks; and no pair enters v, so the checks of
+the other elements do not change.  The graph gains just the edge vu.  In
+frames, v is a small frame straddling the right side of u's, inside every
+frame that holds u's: the generator's probe move, without asking that u be
+exposed.  So peeling changes no verdict, only the witness, and the dynamic
+program, about cubic in the core on a failing search, never sees the
+tree-like fringe.
+
 The decision procedure is a dynamic program over two kinds of subproblems,
 both parameterized by a "blocked" vertex set X that is either empty or the
 closed neighborhood N[v] of a single center vertex v:
@@ -42,7 +61,7 @@ visits them: each one is a generator that yields the subproblems it needs
 and receives their plans, driven by a loop over an explicit stack, so deep
 inputs need no recursion.
 
-The graph is a Burling graph exactly when unrooted(empty, C) is solvable for
+The core is a Burling graph exactly when unrooted(empty, C) is solvable for
 every component C, and the union of those solutions is a witness.
 """
 
@@ -60,7 +79,8 @@ from .graph import Graph, components, is_triangle_free, neighborhood, nesting_or
 class RecognitionStats:
     """How many distinct subproblems one recognition run created, solved
     or failed: unrooted(S) ones and rooted(r, S) ones, over the components
-    up to and including the first that has no solution."""
+    of the graph's 2-core up to and including the first that has no
+    solution.  A forest has no core and creates none."""
 
     unrooted_count: int
     rooted_count: int
@@ -374,30 +394,75 @@ def recognize(g: Graph) -> "BurlingSet | None":
     """A Burling set whose adjacency graph is g, or None if none exists.
 
     Vertices of g become the elements of the result.  Graphs containing a
-    triangle are rejected up front.
+    triangle are rejected before the dynamic program runs.  Only the 2-core
+    of g goes through the dynamic program; the peeled vertices are attached
+    to its witness as probes (see the module docstring).
     """
     return recognize_with_stats(g)[0]
 
 
+def _peel(g: Graph):
+    """(peeled, core, kept): g's vertices of degree at most one, peeled one
+    at a time until none is left, as (v, u) pairs in peeling order, u being
+    v's one neighbor left when v went, or None; the 2-core, as a graph on
+    g's vertices with only the core's edges; and the core's vertices."""
+    deg = [len(a) for a in g.adj]
+    gone = bytearray(g.n)
+    stack = [v for v in range(g.n) if deg[v] <= 1]
+    peeled = []
+    while stack:
+        v = stack.pop()
+        gone[v] = 1
+        u = next((w for w in g.adj[v] if not gone[w]), None)
+        peeled.append((v, u))
+        if u is not None:
+            deg[u] -= 1
+            if deg[u] == 1:
+                stack.append(u)
+    core = Graph(g.n, [(a, b) for a, b in g.edges if not gone[a] and not gone[b]])
+    return peeled, core, [v for v in range(g.n) if not gone[v]]
+
+
 def recognize_with_stats(g: Graph):
     """(recognize(g), RecognitionStats): unrooted(C) for each component C
-    of g in turn, stopping at the first that has no solution."""
+    of g's 2-core in turn, stopping at the first that has no solution; the
+    witness is built only once every component is solved."""
     unrooted = rooted = 0
-    prec, adj = set(), set()
     witness = None
-    if g.n and is_triangle_free(g):
-        for names in components(g, range(g.n)):
-            rec = _Recognizer(g, names)
+    peeled, core, kept = _peel(g)
+    if g.n and is_triangle_free(core):
+        solved = []
+        for names in components(core, kept):
+            rec = _Recognizer(core, names)
             key = (None, (1 << len(names)) - 1)
-            solved = rec.solve(key) is not None
+            ok = rec.solve(key) is not None
             u = sum(1 for r, _ in rec.plans if r is None)
             unrooted += u
             rooted += len(rec.plans) - u
-            if not solved:
+            if not ok:
                 break
-            p, a = rec.pairs(key)
-            prec |= p
-            adj |= a
+            solved.append((rec, key))
         else:
-            witness = BurlingSet(range(g.n), prec, adj)
+            witness = _attach(g.n, solved, peeled)
     return witness, RecognitionStats(unrooted, rooted)
+
+
+def _attach(n: int, solved, peeled) -> BurlingSet:
+    """The witness on vertices 0..n-1: the union of the solved components'
+    pairs, with the peeled vertices attached back in reverse order."""
+    prec, adj = set(), set()
+    for rec, key in solved:
+        p, a = rec.pairs(key)
+        prec |= p
+        adj |= a
+    above = {}  # element -> its prec-targets
+    for x, y in prec:
+        above.setdefault(x, []).append(y)
+    for v, u in reversed(peeled):
+        if u is None:
+            continue
+        adj.add((v, u))
+        if u in above:
+            above[v] = above[u]
+            prec.update((v, z) for z in above[u])
+    return BurlingSet(range(n), prec, adj)

@@ -474,7 +474,6 @@ def test_both_constraint_modes_give_the_same_order():
 
 
 _FRAMES_CHILD = """
-import resource
 from burling import (
     Frame, FrameFamily, GeneratorConfig, build_frames, dump_burling_json,
     dump_frames_json, extract_burling, gen_burling, load_burling_json,
@@ -493,7 +492,7 @@ grid = FrameFamily(
 )
 print(
     round_trip, len(grid), verify_strict(grid).ok,
-    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    peak_kib(),
 )
 """
 
@@ -508,13 +507,13 @@ def test_large_families_within_memory_and_time_budget(run_child):
 
 
 _FRAMES_SCALE_CHILD = """
-import resource, time
+import time
 from burling import GeneratorConfig, build_frames, gen_burling
 b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
 start = time.perf_counter()
 build_frames(b)
 elapsed = time.perf_counter() - start
-print(len(b.elements), elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(len(b.elements), elapsed, peak_kib())
 """
 
 
@@ -529,7 +528,7 @@ def test_frames_at_n_2000_within_memory_and_time_budget(run_child):
 
 
 _STRICT_SCALE_CHILD = """
-import resource, time
+import time
 from burling import (
     GeneratorConfig, build_frames, extract_burling, gen_burling, verify_axioms,
     verify_strict,
@@ -540,7 +539,7 @@ ok = verify_axioms(b).ok
 fam = build_frames(b)
 ok = ok and verify_strict(fam).ok and extract_burling(fam) == b
 elapsed = time.perf_counter() - start
-print(ok, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(ok, elapsed, peak_kib())
 """
 
 

@@ -110,10 +110,9 @@ def test_output_is_pinned(cfg, digest):
 
 
 _GEN_CHILD = """
-import resource
 from burling import GeneratorConfig, gen_burling
 b = gen_burling(GeneratorConfig(seed=1, target_size=1000))
-print(len(b.elements), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(len(b.elements), peak_kib())
 """
 
 

@@ -9,6 +9,8 @@ can only lower the optimum.
 
 For graphs, relabelling the vertices does not change whether a graph is a
 Burling graph, and Burling graphs are closed under induced subgraphs.
+Hanging a vertex or a path off a graph does not change whether it is one
+either, in either direction.
 Recognition treats the components of a graph one by one, so on a disjoint
 union it returns the union of the parts' witnesses and adds up their work,
 up to the first part that is rejected.  The
@@ -135,6 +137,27 @@ def test_near_misses_without_their_extra_edge_are_accepted():
         assert _witnesses(g, recognize(g))
 
 
+def _with_pendant_path(g, at, length):
+    """g with a path of length new vertices hanging from its vertex at."""
+    k = g.n
+    edges = list(g.edges) + [(at, k)] + [(k + i, k + i + 1) for i in range(length - 1)]
+    return Graph(k + length, edges)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pendant_vertices_and_paths_keep_the_verdict(seed):
+    rng = random.Random(seed)
+    g = _generated_graph(rng, 4000 + seed)
+    n, edges, _ = rng.choice(REJECT_POOL)
+    r = _relabelled(Graph(n, [tuple(e) for e in edges]), rng)
+    for _ in range(4):
+        length = rng.choice((1, 1, 2, 5))
+        g = _with_pendant_path(g, rng.randrange(g.n), length)
+        assert _witnesses(g, recognize(g))
+        r = _with_pendant_path(r, rng.randrange(r.n), length)
+        assert recognize(r) is None
+
+
 def _disjoint_union(g1, g2):
     """g1 and g2 side by side, g2's vertices shifted by g1.n."""
     k = g1.n
@@ -163,4 +186,4 @@ def test_disjoint_union_is_recognized_part_by_part(seed):
     r = Graph(n, [tuple(e) for e in edges])
     w, s = recognize_with_stats(_disjoint_union(r, g1))
     assert w is None
-    assert (s.unrooted_count, s.rooted_count) == (36, 400)
+    assert (s.unrooted_count, s.rooted_count) == (20, 125)  # r's own counts

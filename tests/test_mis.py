@@ -391,8 +391,9 @@ def _path_mwis(ws):
 
 
 _SOLVE_CHILD = """
-import resource, time
-from burling import GeneratorConfig, Graph, gen_burling, recognize, solve_indep
+import time
+from burling import GeneratorConfig, Graph, gen_burling, solve_indep
+from burling.recognition import subproblem_structure
 b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
 weights = {x: x * 7919 % 100 for x in b.ordered()}
 start = time.perf_counter()
@@ -402,19 +403,20 @@ ok = total == sum(weights[x] for x in sel)
 ok = ok and not any(a in sel and c in sel for a, c in b.adj)
 del b, sel
 n = 1000
-w = recognize(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+w = subproblem_structure(Graph(n, [(i, i + 1) for i in range(n - 1)]), None, range(n))
 start = time.perf_counter()
 sel, total = solve_indep(w, {i: i * 7919 % 100 for i in range(n)})
 path_s = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+peak = peak_kib()
 print(ok, gen_s, path_s, total, peak)
 """
 
 
 def test_large_sets_within_memory_and_time_budget(run_child):
-    # An n = 2000 generated set, and the witness of a 1000-vertex path:
-    # its prec holds n^2/4 pairs and its cones are the deepest for their
-    # size.  A child process runs the solves; generating the set takes most
+    # An n = 2000 generated set, and the witness the dynamic program
+    # builds for a whole 1000-vertex path: its prec holds n^2/4 pairs and
+    # its cones are the deepest for their size.  (recognize peels a path
+    # off instead, which leaves its witness without prec pairs.)  A child process runs the solves; generating the set takes most
     # of its peak resident size.
     (ok, gen_s, path_s, total, peak_kib), _ = run_child(_SOLVE_CHILD)
     assert ok == "True"

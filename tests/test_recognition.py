@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +13,20 @@ from burling import (
     GeneratorConfig,
     Graph,
     InputError,
+    components,
     gen_burling,
     induced_graph,
+    is_triangle_free,
     recognize,
     recognize_with_stats,
     verify_axioms,
 )
 from burling import recognition
 from burling.recognition import subproblem_structure
+
+REJECT_POOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reject_pool.json").read_text()
+)["graphs"]
 
 
 def _sound(g, b):
@@ -46,10 +54,12 @@ def test_p4_pinned_witness():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     b = recognize(g)
     assert _sound(g, b)
-    # deterministic trace: 1 and 2 have the highest degree, and the tie
-    # goes to 1, the root; 3 nests under it
-    assert b.prec == frozenset({(3, 1)})
-    assert b.adj == frozenset({(0, 1), (2, 1), (2, 3)})
+    # deterministic trace: a path has an empty 2-core.  Peeling starts at
+    # 3, the last of the ends 0 and 3, and walks to 0, which has no
+    # neighbor left and becomes the root; attached back, each vertex
+    # crosses out of the neighbor it was peeled from
+    assert b.prec == frozenset()
+    assert b.adj == frozenset({(1, 0), (2, 1), (3, 2)})
 
 
 def test_fig3_graph_accepted():
@@ -168,9 +178,14 @@ def test_small_and_generated_graphs_are_sound():
         assert _sound(g, recognize(g))
 
 
+_C6 = Graph(6, [(i, i + 1) for i in range(5)] + [(0, 5)])
+
+
 def test_soundness_check_catches_a_broken_plan(monkeypatch):
     # an unrooted plan that forgets its components stands for a set that
-    # lacks their edges, and the witness check sees it
+    # lacks their edges, and the witness check sees it; a cycle has no
+    # vertex to peel, so the whole graph goes through the dynamic program
+    assert _sound(_C6, recognize(_C6))
     solve = recognition._Recognizer._unrooted
 
     def forgetful(self, s):
@@ -178,8 +193,41 @@ def test_soundness_check_catches_a_broken_plan(monkeypatch):
         return plan and (plan[0], ())
 
     monkeypatch.setattr(recognition._Recognizer, "_unrooted", forgetful)
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert not _sound(g, recognize(g))
+    assert not _sound(_C6, recognize(_C6))
+
+
+def _whole_graph_verdict(g):
+    """Whether the dynamic program solves every component of g itself,
+    with nothing peeled: the verdict recognize gave before it peeled."""
+    return (
+        g.n > 0
+        and is_triangle_free(g)
+        and all(subproblem_structure(g, None, c) is not None for c in components(g, range(g.n)))
+    )
+
+
+# (vertices, probe_bias, join_mix): the benchmark's accepting workload
+_ACCEPT_SHAPES = (
+    (24, 0.8, 0.2), (32, 0.5, 0.5), (32, 0.8, 0.2),
+    (40, 0.5, 0.5), (40, 0.8, 0.2), (48, 0.5, 0.5),
+)
+
+
+def test_peeling_keeps_the_whole_graph_verdict():
+    # A core solved in a graph that still holds the peeled vertices
+    # rejected 2 of the 120 generated graphs: they enter N(C) of its
+    # nesting-order checks.
+    graphs = []
+    for seed in range(120):
+        n, probe_bias, join_mix = _ACCEPT_SHAPES[seed % len(_ACCEPT_SHAPES)]
+        b = gen_burling(
+            GeneratorConfig(seed=seed, target_size=n, probe_bias=probe_bias, join_mix=join_mix)
+        )
+        graphs.append(induced_graph(b))
+    graphs += [Graph(n, [tuple(e) for e in edges]) for n, edges, _ in REJECT_POOL]
+    verdicts = [(recognize(g) is not None, _whole_graph_verdict(g)) for g in graphs]
+    assert verdicts[:120] == [(True, True)] * 120
+    assert verdicts[120:] == [(False, False)] * len(REJECT_POOL)
 
 
 def test_subproblem_count_bound():
@@ -221,10 +269,9 @@ def test_hereditary_on_samples():
 
 
 _BUDGET_CHILD = """
-import resource
 from burling import GeneratorConfig, Graph, gen_burling, induced_graph, recognize
 w = recognize({graph})
-print(w is not None, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(w is not None, peak_kib())
 """
 
 
@@ -236,13 +283,25 @@ def _recognize_in_child(run_child, graph: str):
 
 
 def test_long_path_within_memory_and_time_budget(run_child):
-    # A path is a tree, so a Burling graph, and the longest chain of nested
-    # subproblems for its size.
+    # A path is a tree, so a Burling graph with an empty 2-core: it is
+    # peeled and attached back without the dynamic program.  Given to the
+    # dynamic program whole, 2000 vertices took 9.0 s and 286 MB.
     accepted, peak_kib, elapsed = _recognize_in_child(
-        run_child, "Graph(400, [(i, i + 1) for i in range(399)])"
+        run_child, "Graph(2000, [(i, i + 1) for i in range(1999)])"
     )
     assert accepted
-    assert peak_kib < 150 * 1024
+    assert peak_kib < 100 * 1024
+    assert elapsed < 10.0
+
+
+def test_long_cycle_within_memory_and_time_budget(run_child):
+    # A cycle has nothing to peel, so the dynamic program gets it whole:
+    # the longest chain of nested subproblems for its size.
+    accepted, peak_kib, elapsed = _recognize_in_child(
+        run_child, "Graph(2000, [(i, i + 1) for i in range(1999)] + [(0, 1999)])"
+    )
+    assert accepted
+    assert peak_kib < 100 * 1024
     assert elapsed < 10.0
 
 
