@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force reference answers")
     osub = p.add_subparsers(dest="kind", required=True)
-    po = osub.add_parser("recognize", help="exhaustive recognition, n <= 6")
+    po = osub.add_parser("recognize", help="exhaustive recognition, n <= 8")
     po.add_argument("graph")
     po.set_defaults(func=cmd_oracle_recognize)
     po = osub.add_parser("mis", help="brute-force MWIS, n <= 24")

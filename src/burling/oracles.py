@@ -75,8 +75,8 @@ def exhaustive_recognize(g: Graph):
     first surviving full assignment in this order is returned, gated by a
     final full axiom check.  None when no candidate exists.
     """
-    if g.n > 6:
-        raise InputError(f"exhaustive recognition capped at 6 vertices, got {g.n}")
+    if g.n > 8:
+        raise InputError(f"exhaustive recognition capped at 8 vertices, got {g.n}")
     if g.n == 0:
         return None
     if not is_triangle_free(g):

@@ -52,14 +52,39 @@ Ascending vertex order alone made the cost depend on the labelling, since a
 generator that gives enclosing elements high ids leaves the working roots
 last.
 
+A rooted subproblem is refuted before it recurses when its shape fails.
+The shape is what rooted(r, S) needs without recursion: the components of
+S-N(r), each with its link, the single neighbor in N(r) that makes it
+outer-eligible when that lies in S, and whether it is inner-eligible, all
+its neighbors in N(r).  It fails when some component is neither, or when
+some probe fits none of its three shapes even with each component given
+whichever role suits that probe.  The recursive part asks the same of the
+roles its children's plans fix, so a failed shape is a subproblem with no
+solution: it is stored as failed and never becomes a generator.  Shapes are
+also checked before any child is demanded.  An unrooted subproblem checks
+the shapes of all the children of a root before it demands the first, and
+skips the root when one is known to fail or is refuted.  A rooted one
+checks the shapes of rooted(q, C) for its components C that are not
+inner-eligible, which must be outer, and fails in the same case.  A shape
+checked there goes along with the demand, so the child does not check it
+again, and lives no longer than the demanding subproblem.  Each refutation
+stands for a failure the recursive search would reach: the skipped root
+would have failed at that child, the rooted subproblem at that component.
+Each key's answer and plan depend only on the key, so only the order in
+which answers are computed changes, and with it the number of subproblems,
+since a refuted one's children are never demanded.  Every verdict, plan and
+witness stays as it was.  When S-r is connected, the check that each probe
+of an unrooted subproblem reaches into a single component of S-r holds
+vacuously and is skipped.
+
 The memo keeps only each subproblem's plan: for unrooted(S) the chosen root
 and its components, for rooted(r, S) the inner, outer and pendant parts and
-the nesting order of the inner parts; a failed subproblem is kept as None.
-The witness is built once at the end from the plans of the solved tree.
-Subproblems are solved on demand, in the order the recursive definition
-visits them: each one is a generator that yields the subproblems it needs
-and receives their plans, driven by a loop over an explicit stack, so deep
-inputs need no recursion.
+the nesting order of the inner parts; a failed or refuted subproblem is
+kept as None.  The witness is built once at the end from the plans of the
+solved tree.  Subproblems are solved on demand, in the order the recursive
+definition visits them: each one is a generator that yields the
+subproblems it needs and receives their plans, driven by a loop over an
+explicit stack, so deep inputs need no recursion.
 
 The core is a Burling graph exactly when unrooted(empty, C) is solvable for
 every component C, and the union of those solutions is a witness.
@@ -77,10 +102,14 @@ from .graph import Graph, components, is_triangle_free, neighborhood, nesting_or
 
 @dataclass(frozen=True)
 class RecognitionStats:
-    """How many distinct subproblems one recognition run created, solved
-    or failed: unrooted(S) ones and rooted(r, S) ones, over the components
-    of the graph's 2-core up to and including the first that has no
-    solution.  A forest has no core and creates none."""
+    """How many distinct subproblems one recognition run answered:
+    unrooted(S) ones and rooted(r, S) ones, over the components of the
+    graph's 2-core up to and including the first that has no solution.  A
+    subproblem counts once its answer is known, whether it was solved,
+    failed in its search, or was refuted by its shape before it recursed
+    (see the module docstring); a shape checked without refuting counts
+    only once its subproblem is demanded.  A forest has no core and counts
+    none."""
 
     unrooted_count: int
     rooted_count: int
@@ -136,28 +165,12 @@ class _Recognizer:
 
     def _around(self, m: int) -> int:
         """The union of the neighborhoods of the vertices of m."""
-        acc, adj = 0, self.adj
+        acc, adj, bit = 0, self.adj, self.bit
         while m:
-            low = m & -m
-            acc |= adj[low.bit_length() - 1]
-            m ^= low
+            v = m.bit_length() - 1
+            acc |= adj[v]
+            m ^= bit[v]
         return acc
-
-    def _components(self, s: int):
-        """The components of g[s], ordered by smallest vertex, each with
-        the union of its vertices' neighborhoods: yields (component,
-        around), so a caller that stops early searches no further."""
-        while s:
-            comp = frontier = s & -s
-            s ^= comp
-            around = 0
-            while frontier:
-                step = self._around(frontier)
-                around |= step
-                frontier = step & s
-                s ^= frontier
-                comp |= frontier
-            yield comp, around
 
     def _cut_search(self, s: int):
         """Depth-first search of the connected set s from its smallest
@@ -213,30 +226,59 @@ class _Recognizer:
 
     def solve(self, key):
         """The plan of the subproblem key, solving every subproblem it
-        demands first, depth first in demand order."""
+        demands first, depth first in demand order.  A generator demands a
+        subproblem by yielding (key, shape): shape is the key's checked
+        shape, or None when it has not been checked."""
         plans = self.plans
-        if key in plans:
-            return plans[key]
-        stack = [(key, self._start(key))]
-        value = None
+        stack = []
+        value = self._demand(key, None, stack)
         while stack:
             top, gen = stack[-1]
             try:
-                child = gen.send(value)
+                child, shape = gen.send(value)
             except StopIteration as done:
                 stack.pop()
                 value = plans[top] = done.value
                 continue
-            if child in plans:
-                value = plans[child]
-            else:
-                stack.append((child, self._start(child)))
-                value = None
+            value = self._demand(child, shape, stack)
         return plans[key]
 
-    def _start(self, key):
-        r, s = key
-        return self._unrooted(s) if r is None else self._rooted(r, s)
+    def _demand(self, key, shape, stack):
+        """key's plan when it is known, or None when its shape refutes it
+        (stored as its plan); else None, with key's generator pushed on the
+        stack."""
+        plans = self.plans
+        if key not in plans:
+            r, s = key
+            if r is None:
+                stack.append((key, self._unrooted(s)))
+                return None
+            if shape is None:
+                shape = self._shape(r, s)
+            if shape is not None:
+                stack.append((key, self._rooted(r, s, shape)))
+                return None
+            plans[key] = None
+        return plans[key]
+
+    def _shapes(self, keys):
+        """The shapes of the rooted subproblems keys, in order, None for a
+        key already solved; or None when some key is known to fail or its
+        shape refutes it (stored as a failed plan), checking no further
+        keys.  Never recurses."""
+        plans, shapes = self.plans, []
+        for key in keys:
+            if key in plans:
+                if plans[key] is None:
+                    return None
+                shapes.append(None)
+                continue
+            shape = self._shape(*key)
+            if shape is None:
+                plans[key] = None
+                return None
+            shapes.append(shape)
+        return shapes
 
     def _unrooted(self, s):
         """Solves unrooted(S): yields the subproblems it needs, in order, and
@@ -265,63 +307,124 @@ class _Recognizer:
             if rest:
                 comps.append(rest)
             comps.sort(key=lambda m: m & -m)
-            # each probe must reach into a single component of S-r
-            if not all(_inside_one(t & ~rb, comps) for t in reach):
+            # each probe must reach into a single component of S-r, which
+            # it does when there is at most one
+            if len(comps) > 1 and not all(_inside_one(t & ~rb, comps) for t in reach):
                 continue
-            for c in comps:
-                if (yield (r, c)) is None:
+            # refute the root by its children's shapes before demanding any
+            keys = [(r, c) for c in comps]
+            shapes = self._shapes(keys)
+            if shapes is None:
+                continue
+            for key, shape in zip(keys, shapes):
+                if (yield key, shape) is None:
                     break
             else:
                 return r, tuple(comps)
         return None
 
-    def _rooted(self, r, s):
-        """Solves rooted(r, S) like _unrooted solves unrooted(S)."""
+    def _shape(self, r, s):
+        """The shape of rooted(r, S), or None when it alone refutes the
+        subproblem; never recurses.  The shape is (components, N[S]): the
+        components of S-N(r), ordered by smallest vertex, each as
+        (component, q, inner), where q is its link, its single neighbor in
+        N(r) when that lies in S, else None, and inner says whether all its
+        neighbors lie in N(r).  The subproblem fails when some component
+        may be neither inner nor outer (no link), or when some probe fits
+        none of its shapes even with each component given whichever role
+        suits that probe."""
         adj, bit = self.adj, self.bit
         nr = adj[r]
-
-        # Split off the part of s not adjacent to r and classify each component:
-        # inner ones will be represented nested inside r, outer ones beside r,
-        # attached through their single link vertex q.  A component that
-        # qualifies both ways is taken as inner.
-        inner = []
-        outer = []  # (component, q)
+        comps = []
         around_s = self._around(s & nr)
-        for c, around in self._components(s & ~nr):
+        inner_zone, outer_zones = bit[r], []
+        rest = s & ~nr
+        while rest:
+            c = frontier = rest & -rest
+            rest ^= c
+            around = 0
+            while frontier:
+                # one layer of a breadth-first search of the component
+                step = 0
+                while frontier:
+                    v = frontier.bit_length() - 1
+                    step |= adj[v]
+                    frontier ^= bit[v]
+                around |= step
+                frontier = step & rest
+                rest ^= frontier
+                c |= frontier
             around_s |= around
             nc = around & ~c
-            if not nc & ~nr and (yield (None, c)) is not None:
-                inner.append(c)
-                continue
             link = nc & nr
-            if link and not link & (link - 1) and link & s:
-                q = link.bit_length() - 1
-                if (yield (q, c)) is not None:
-                    outer.append((c, q))
-                    continue
-            return None
+            q = link.bit_length() - 1 if link & s and not link & (link - 1) else None
+            inner = not nc & ~nr
+            if q is None:
+                if not inner:
+                    return None
+            else:
+                outer_zones.append(c | bit[q])
+            if inner:
+                inner_zone |= c
+            comps.append((c, q, inner))
         nclosed = s | around_s
+        if self._pendants(r, s, nclosed, inner_zone, outer_zones) is None:
+            return None
+        return comps, nclosed
 
-        # Every outside probe must fall into one of three shapes: reaching only
-        # r and inner territory, confined to a single outer component plus its
-        # link, or pendant on a single neighbor of r inside s.
-        inner_zone = sum(inner) | bit[r]
-        pendant = []  # (p, q) pairs realized below
-        for p in _members(nclosed & ~s & ~bit[r]):
+    def _pendants(self, r, s, nclosed, inner_zone, outer_zones):
+        """The pendant probes (p, q) of rooted(r, S) with N[S] nclosed, or
+        None when some probe p outside S and r fits none of three shapes:
+        reaching only inner_zone (r and the inner components), a single
+        neighbor q of r inside S (pendant on q), or inside one outer zone
+        (an outer component plus its link)."""
+        adj = self.adj
+        nrs = adj[r] & s
+        pendant = []
+        for p in _members(nclosed & ~s & ~self.bit[r]):
             t = adj[p] & nclosed
             if not t & ~inner_zone:
                 continue
-            if not t & (t - 1) and t & nr & s:
+            if not t & (t - 1) and t & nrs:
                 pendant.append((p, t.bit_length() - 1))
                 continue
-            if not _inside_one(t, [c | bit[q] for c, q in outer]):
+            if not _inside_one(t, outer_zones):
                 return None
+        return pendant
 
+    def _rooted(self, r, s, shape):
+        """Solves rooted(r, S), whose shape passed, like _unrooted solves
+        unrooted(S)."""
+        bit = self.bit
+        comps, nclosed = shape
+        # A component that may not be inner must be outer: refute the
+        # subproblem by those children's shapes before demanding any.
+        shapes = self._shapes([(q, c) for c, q, inner in comps if not inner])
+        if shapes is None:
+            return None
+        checked = iter(shapes)
+        # Inner components will be represented nested inside r, outer ones
+        # beside r, attached through their link q.  A component that
+        # qualifies both ways is taken as inner.
+        inner_parts, outer = [], []  # outer: (component, q)
+        for c, q, inner in comps:
+            if inner and (yield (None, c), None) is not None:
+                inner_parts.append(c)
+                continue
+            if q is not None and (yield (q, c), None if inner else next(checked)) is not None:
+                outer.append((c, q))
+                continue
+            return None
+        pendant = self._pendants(
+            r, s, nclosed, bit[r] | sum(inner_parts), [c | bit[q] for c, q in outer]
+        )
+        if pendant is None:
+            return None
         name = self.names
-        order = nesting_order(self.g, [[name[v] for v in _members(c)] for c in inner])
+        order = nesting_order(self.g, [[name[v] for v in _members(c)] for c in inner_parts])
         if order is None:
             return None
-        return tuple(inner), tuple(outer), tuple(pendant), order
+        return tuple(inner_parts), tuple(outer), tuple(pendant), order
 
     # -- witnesses ----------------------------------------------------------
 

@@ -17,6 +17,7 @@ from burling import (
     gen_burling,
     induced_graph,
     is_triangle_free,
+    nesting_order,
     recognize,
     recognize_with_stats,
     verify_axioms,
@@ -213,10 +214,9 @@ _ACCEPT_SHAPES = (
 )
 
 
-def test_peeling_keeps_the_whole_graph_verdict():
-    # A core solved in a graph that still holds the peeled vertices
-    # rejected 2 of the 120 generated graphs: they enter N(C) of its
-    # nesting-order checks.
+def _accept_graphs():
+    """120 generated Burling graphs, cycling through the accepting
+    workload's shapes."""
     graphs = []
     for seed in range(120):
         n, probe_bias, join_mix = _ACCEPT_SHAPES[seed % len(_ACCEPT_SHAPES)]
@@ -224,10 +224,113 @@ def test_peeling_keeps_the_whole_graph_verdict():
             GeneratorConfig(seed=seed, target_size=n, probe_bias=probe_bias, join_mix=join_mix)
         )
         graphs.append(induced_graph(b))
-    graphs += [Graph(n, [tuple(e) for e in edges]) for n, edges, _ in REJECT_POOL]
+    return graphs
+
+
+def _reject_graphs():
+    return [Graph(n, [tuple(e) for e in edges]) for n, edges, _ in REJECT_POOL]
+
+
+def test_peeling_keeps_the_whole_graph_verdict():
+    # A core solved in a graph that still holds the peeled vertices
+    # rejected 2 of the 120 generated graphs: they enter N(C) of its
+    # nesting-order checks.
+    graphs = _accept_graphs() + _reject_graphs()
     verdicts = [(recognize(g) is not None, _whole_graph_verdict(g)) for g in graphs]
     assert verdicts[:120] == [(True, True)] * 120
     assert verdicts[120:] == [(False, False)] * len(REJECT_POOL)
+
+
+def _components(adj, s):
+    """The components of the graph on s with adjacency masks adj, ordered
+    by smallest vertex, each with its vertices' neighborhoods' union."""
+    while s:
+        comp = frontier = s & -s
+        s ^= comp
+        around = 0
+        while frontier:
+            step = 0
+            for v in recognition._members(frontier):
+                step |= adj[v]
+            around |= step
+            frontier = step & s
+            s ^= frontier
+            comp |= frontier
+        yield comp, around
+
+
+class _Recursive(recognition._Recognizer):
+    """The dynamic program with no shape checks: every rooted subproblem
+    demands its children until one fails, and no child is checked before
+    it is demanded."""
+
+    def _shape(self, r, s):
+        return ()
+
+    def _shapes(self, keys):
+        return [None] * len(keys)
+
+    def _rooted(self, r, s, shape):
+        adj, bit = self.adj, self.bit
+        nr = adj[r]
+        inner = []
+        outer = []  # (component, q)
+        around_s = self._around(s & nr)
+        for c, around in _components(adj, s & ~nr):
+            around_s |= around
+            nc = around & ~c
+            if not nc & ~nr and (yield (None, c), None) is not None:
+                inner.append(c)
+                continue
+            link = nc & nr
+            if link and not link & (link - 1) and link & s:
+                q = link.bit_length() - 1
+                if (yield (q, c), None) is not None:
+                    outer.append((c, q))
+                    continue
+            return None
+        nclosed = s | around_s
+        inner_zone = sum(inner) | bit[r]
+        pendant = []
+        for p in recognition._members(nclosed & ~s & ~bit[r]):
+            t = adj[p] & nclosed
+            if not t & ~inner_zone:
+                continue
+            if not t & (t - 1) and t & nr & s:
+                pendant.append((p, t.bit_length() - 1))
+                continue
+            if not recognition._inside_one(t, [c | bit[q] for c, q in outer]):
+                return None
+        name = self.names
+        order = nesting_order(self.g, [[name[v] for v in recognition._members(c)] for c in inner])
+        if order is None:
+            return None
+        return tuple(inner), tuple(outer), tuple(pendant), order
+
+
+def test_shape_refutations_hold_under_the_recursive_program(monkeypatch):
+    # Every subproblem the shape checks refuted, and every other one the
+    # run memoized, gets the same plan from the program without them: on
+    # these graphs 46 698 plans, 45 081 of them failed, which that program
+    # reaches through 49 666 subproblems.
+    made = []
+
+    class Recording(recognition._Recognizer):
+        def __init__(self, g, names):
+            super().__init__(g, names)
+            made.append(self)
+
+    monkeypatch.setattr(recognition, "_Recognizer", Recording)
+    for g in _accept_graphs() + _reject_graphs():
+        recognize(g)
+    checked = explored = 0
+    for rec in made:
+        full = _Recursive(rec.g, rec.names)
+        for key, plan in rec.plans.items():
+            assert full.solve(key) == plan
+        checked += len(rec.plans)
+        explored += len(full.plans)
+    assert checked < explored
 
 
 def test_subproblem_count_bound():
@@ -269,24 +372,24 @@ def test_hereditary_on_samples():
 
 
 _BUDGET_CHILD = """
-from burling import GeneratorConfig, Graph, gen_burling, induced_graph, recognize
-w = recognize({graph})
-print(w is not None, peak_kib())
+from burling import GeneratorConfig, Graph, gen_burling, induced_graph, recognize_with_stats
+w, stats = recognize_with_stats({graph})
+print(w is not None, stats.subproblem_count, peak_kib())
 """
 
 
 def _recognize_in_child(run_child, graph: str):
-    """(accepted, peak resident KiB, seconds) of recognizing, in a child
-    process, the graph that the expression graph builds."""
-    (accepted, peak_kib), elapsed = run_child(_BUDGET_CHILD.format(graph=graph))
-    return accepted == "True", int(peak_kib), elapsed
+    """(accepted, subproblems, peak resident KiB, seconds) of recognizing,
+    in a child process, the graph that the expression graph builds."""
+    (accepted, count, peak_kib), elapsed = run_child(_BUDGET_CHILD.format(graph=graph))
+    return accepted == "True", int(count), int(peak_kib), elapsed
 
 
 def test_long_path_within_memory_and_time_budget(run_child):
     # A path is a tree, so a Burling graph with an empty 2-core: it is
     # peeled and attached back without the dynamic program.  Given to the
     # dynamic program whole, 2000 vertices took 9.0 s and 286 MB.
-    accepted, peak_kib, elapsed = _recognize_in_child(
+    accepted, _, peak_kib, elapsed = _recognize_in_child(
         run_child, "Graph(2000, [(i, i + 1) for i in range(1999)])"
     )
     assert accepted
@@ -297,7 +400,7 @@ def test_long_path_within_memory_and_time_budget(run_child):
 def test_long_cycle_within_memory_and_time_budget(run_child):
     # A cycle has nothing to peel, so the dynamic program gets it whole:
     # the longest chain of nested subproblems for its size.
-    accepted, peak_kib, elapsed = _recognize_in_child(
+    accepted, _, peak_kib, elapsed = _recognize_in_child(
         run_child, "Graph(2000, [(i, i + 1) for i in range(1999)] + [(0, 1999)])"
     )
     assert accepted
@@ -308,7 +411,7 @@ def test_long_cycle_within_memory_and_time_budget(run_child):
 def test_generated_graph_within_memory_and_time_budget(run_child):
     # The generator gives enclosing elements high ids.  Trying roots in
     # ascending vertex order took 15.6 s on this graph; by degree, 2.1–2.5 s.
-    accepted, peak_kib, elapsed = _recognize_in_child(
+    accepted, _, peak_kib, elapsed = _recognize_in_child(
         run_child, "induced_graph(gen_burling(GeneratorConfig(seed=1, target_size=400)))"
     )
     assert accepted
@@ -324,3 +427,15 @@ def test_relabelling_changes_the_work_less_than_threefold(seed):
     reversed_g = Graph(g.n, [(g.n - 1 - v, g.n - 1 - u) for u, v in g.edges])
     counts = [recognize_with_stats(h)[1].subproblem_count for h in (g, reversed_g)]
     assert max(counts) < 3 * min(counts)
+
+
+def test_thousand_vertex_graph_within_work_memory_and_time_budget(run_child):
+    # 52 245 subproblems and 6.1 s before rooted subproblems were refuted
+    # by their shape; 22 366 and about 3 s after, generation included.
+    accepted, count, peak_kib, elapsed = _recognize_in_child(
+        run_child, "induced_graph(gen_burling(GeneratorConfig(seed=5, target_size=1000)))"
+    )
+    assert accepted
+    assert count <= 30_000
+    assert peak_kib < 200 * 1024
+    assert elapsed < 5.0

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -129,7 +132,7 @@ def test_brute_force_mwis_size_guard():
 
 def test_exhaustive_recognize_size_guard():
     with pytest.raises(InputError):
-        exhaustive_recognize(Graph(7, []))
+        exhaustive_recognize(Graph(9, []))
 
 
 def test_exhaustive_recognize_triangle():
@@ -145,8 +148,6 @@ def test_exhaustive_recognize_path_witness():
 
 
 def _connected_graphs(n):
-    import itertools
-
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
@@ -165,6 +166,48 @@ def test_exhaustive_matches_recognizer_tiny():
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert induced_graph(fast).adj == g.adj
+
+
+def _random_two_core(rng, n):
+    """A seeded triangle-free graph on n vertices, each of degree at least
+    two, or None when the draw has a vertex of smaller degree."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    nbrs = [set() for _ in range(n)]
+    edges = []
+    for u, v in pairs:
+        if rng.random() < 0.5 and not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            edges.append((u, v))
+    return Graph(n, edges) if all(len(a) >= 2 for a in nbrs) else None
+
+
+def test_exhaustive_matches_recognizer_on_rejecting_two_cores():
+    # The cube Q3 minus a vertex is the smallest triangle-free graph that
+    # is not a Burling graph.  Every vertex of a drawn 2-core has degree
+    # two or more, so the dynamic program gets the whole graph; 9 of the
+    # 100 are rejected.  Both take about 1 s on a 2-vCPU machine.
+    start = time.perf_counter()
+    pairs = itertools.combinations(range(7), 2)
+    cube = Graph(7, [(u, v) for u, v in pairs if (u ^ v).bit_count() == 1])
+    assert recognize(cube) is None
+    assert exhaustive_recognize(cube) is None
+    rng = random.Random(1)
+    rejected = checked = 0
+    while checked < 100:
+        g = _random_two_core(rng, rng.choice((7, 8)))
+        if g is None:
+            continue
+        fast = recognize(g)
+        assert (fast is None) == (exhaustive_recognize(g) is None)
+        if fast is None:
+            rejected += 1
+        else:
+            assert verify_axioms(fast).ok and induced_graph(fast).adj == g.adj
+        checked += 1
+    assert rejected == 9
+    assert time.perf_counter() - start < 3.0
 
 
 # ------------------------------------------------------------------- graph io
