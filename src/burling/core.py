@@ -19,17 +19,18 @@ own: a shortest cycle has no prec pair, which the pair before it would
 shortcut by transitivity or adj-extends-upward, so it is an adj cycle.
 
 verify_axioms checks prec pair by pair only where it must.  Taking elements
-by ascending number of prec-targets, it calls x settled when its targets
-are none, or exactly p and p's targets for a settled target p with the
-most targets, which it tests by p having one target fewer than x, all of
-them x's.  By induction on that number, the targets of a settled x form a
-prec-chain that is closed under prec and does not hold x: p precedes each
-of its own targets, which form such a chain, and x is neither p, settled
-before it, nor one of p's targets, whose targets would all be p's, fewer
-than x's.  So no pair (x, y) with x settled can break irreflexivity or
-transitivity, and prec-out-chain holds at x.  On a valid set every element
-is settled, its targets being its cover and the cover's targets, and the
-pairwise checks walk no pair.
+by ascending number of prec-targets, the relation index (_cover) calls x
+settled, once per set, when its targets are none, or exactly p and p's
+targets for a settled target p with the most targets, which it tests by p
+having one target fewer than x, all of them x's.  By induction on that
+number, the targets of a settled x form a prec-chain that is closed under
+prec and does not hold x: p precedes each of its own targets, which form
+such a chain, and x is neither p, settled before it, nor one of p's
+targets, whose targets would all be p's, fewer than x's.  So no pair (x, y)
+with x settled can break irreflexivity or transitivity, and prec-out-chain
+holds at x.  On a valid set every element is settled, its targets being its
+cover p and p's targets, the pairwise checks walk no pair, and _forest
+sorts the covers instead of the closure.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -45,6 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import ContractError, InputError
 from .graph import Graph
@@ -72,8 +74,8 @@ class BurlingSet:
             order = tuple(sorted(elements))
         except TypeError:
             raise InputError("element ids must be mutually comparable") from None
-        prec = frozenset(_check_pairs(prec, elements, "prec"))
-        adj = frozenset(_check_pairs(adj, elements, "adj"))
+        prec = _relation(prec, elements, "prec")
+        adj = _relation(adj, elements, "adj")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "adj", adj)
@@ -106,6 +108,24 @@ class BurlingSet:
         return _maps(self.elements, self.adj)
 
     @cached_property
+    def _cover(self) -> dict:
+        """x -> the cover of x, or None when x has no prec-target, for each
+        settled x (see the module docstring); other elements are absent.
+        The cover is x's prec-target with the most targets."""
+        out_prec = self._prec_maps[0]
+        size = {x: len(out_prec[x]) for x in self._order}
+        cover = {}
+        for x in sorted(self._order, key=size.__getitem__):
+            ts = out_prec[x]
+            p = None
+            if ts:
+                p = max(ts, key=size.__getitem__)
+                if p not in cover or size[p] + 1 != size[x] or not out_prec[p] <= ts:
+                    continue
+            cover[x] = p
+        return cover
+
+    @cached_property
     def _forest(self) -> tuple:
         """(topo, parent, up): the smallest-id-first topological order of
         prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
@@ -113,8 +133,26 @@ class BurlingSet:
         Both relations must be chordal, and x must hold up[x]'s prec-targets,
         as the axioms make them: then every out-target of x is its ancestor
         in the first forest, and prec is the ancestor relation of the
-        second, its cover forest."""
+        second, its cover forest.
+
+        When every element is settled, up is its cover and topo is Kahn's
+        sort over covers and adj pairs, whose ready elements depend only on
+        reachability.  x's parent y is the first of its adj-targets and
+        cover, and the relation is chordal at x when y holds the others as
+        prec-targets, as the axioms make it.  Otherwise, or on a cycle, the
+        forests are built on prec's closure, which raises the ContractError."""
         out_prec, out_adj = self._prec_maps[0], self._adj_maps[0]
+        cover = self._cover
+        if len(cover) == len(self._order):
+            succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in cover.items()}
+            topo = _topo_sort(self._order, succ) or ()
+            pos = {x: i for i, x in enumerate(topo)}
+            parent = {x: min(succ[x], key=pos.__getitem__, default=None) for x in topo}
+            if topo and all(
+                len(ts) < 2 or len(out_prec[parent[x]].intersection(ts)) == len(ts) - 1
+                for x, ts in succ.items()
+            ):
+                return topo, parent, cover
         out = {x: out_prec[x] | out_adj[x] for x in self._order}
         topo = _topo_sort(self._order, out)
         if topo is None:
@@ -187,7 +225,21 @@ def _chordal_forest(topo, out) -> dict:
     return parent
 
 
-def _check_pairs(pairs, elements, label):
+def _relation(pairs, elements, label) -> frozenset:
+    """The pairs, checked to be pairs of declared elements, as a frozenset
+    of tuples.  Checked in bulk; only when that check fails are they
+    walked one by one to name the first bad entry."""
+    pairs = pairs if isinstance(pairs, (list, tuple, set, frozenset)) else tuple(pairs)
+    try:
+        if (
+            set(map(type, pairs)) <= {tuple}
+            and set(map(len, pairs)) <= {2}
+            and elements.issuperset(chain.from_iterable(pairs))
+        ):
+            return frozenset(pairs)
+    except TypeError:
+        pass
+    rel = set()
     for p in pairs:
         try:
             x, y = p
@@ -195,7 +247,8 @@ def _check_pairs(pairs, elements, label):
             raise InputError(f"{label} entry {p!r} is not a pair") from None
         if x not in elements or y not in elements:
             raise InputError(f"{label} pair {p!r} references an undeclared element")
-        yield (x, y)
+        rel.add((x, y))
+    return frozenset(rel)
 
 
 @dataclass(frozen=True)
@@ -269,23 +322,15 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
 
     Intended for untrusted input, so nothing is assumed: transitivity of prec
     is checked pair by pair from every element that is not settled (see the
-    module docstring), and settled elements need no such check.  The maps are
-    the relation index's, so a set checked and then solved or framed builds
-    them once.
+    module docstring), and settled elements need no such check.  The maps and
+    the settled elements are the relation index's, so a set checked and then
+    solved or framed builds them once.
     """
     elems = b._order
     out_prec, in_prec = b._prec_maps
     out_adj, _ = b._adj_maps
     prec = b.prec
-    size = {x: len(out_prec[x]) for x in elems}
-    settled = set()
-    for x in sorted(elems, key=size.__getitem__):
-        ts = out_prec[x]
-        if ts:
-            p = max(ts, key=size.__getitem__)
-            if p not in settled or size[p] + 1 != size[x] or not out_prec[p] <= ts:
-                continue
-        settled.add(x)
+    settled = b._cover
     pairs = sorted((x, y) for x in elems if x not in settled for y in out_prec[x])
     viols = []
 
@@ -308,7 +353,7 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
 
     in_count = {x: len(in_prec[x]) for x in elems}
     for x in elems:
-        if size[x] > 1 and x not in settled:
+        if len(out_prec[x]) > 1 and x not in settled:
             gap = _chain_gap(out_prec[x], prec, in_count)
             if gap is not None:
                 viols.append(Violation("prec-out-chain", (x, gap[0], gap[1])))

@@ -19,13 +19,16 @@ relation index (see core.BurlingSet), and the horizontal system is sorted
 by the same smallest-first Kahn sort.
 extract_burling inverts the construction for any strict family.  It,
 verify_strict and intersection_graph read one sweep in x over the frames,
-which compares only frames that overlap in x and checks each crossing
-only against the frames whose left side lies inside it.
+kept by the family, which compares only frames that overlap in x, checks
+each crossing only against the frames whose left side lies inside it,
+and reports each frame's cover, the smallest frame holding it, rather
+than every nesting.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import BurlingSet, VerificationReport, Violation, _topo_sort
@@ -66,13 +69,15 @@ class FrameFamily:
     disjoint.  A corner of f on g lies on a side of g and on the side of f
     along the same line; conversely two collinear sides meet exactly when an
     end of one, a corner, lies on the other.  A frame's two parallel sides
-    never share a line, since l < r and b < t.  The check sorts the sides by
-    line and start and compares neighbours only: if no side meets the next
-    one on its line, each side ends before the next starts, so no two sides
-    on the line meet.
+    never share a line, since l < r and b < t.  The check sorts the sides
+    on lines holding two sides or more (a built family has none) by line
+    and start and compares neighbours only: if no side meets the next one
+    on its line, each side ends before the next starts, so no two sides on
+    the line meet.  The family is immutable and keeps the one sweep (_scan)
+    that verify_strict, extract_burling and intersection_graph read.
     """
 
-    __slots__ = ("frames",)
+    __slots__ = ("_frames", "_sweep")
 
     def __init__(self, frames):
         frames = list(frames)
@@ -87,16 +92,20 @@ class FrameFamily:
             seen.add(f.id)
         # (axis, line, start, end, index): axis 0 is vertical sides on
         # x = line, axis 1 horizontal sides on y = line.
-        sides = sorted(
-            side
-            for i, f in enumerate(frames)
-            for side in (
-                (0, f.l, f.b, f.t, i),
-                (0, f.r, f.b, f.t, i),
-                (1, f.b, f.l, f.r, i),
-                (1, f.t, f.l, f.r, i),
-            )
-        )
+        n = len(frames)
+        sides = []
+        for axis, lines in enumerate((
+            [f.l for f in frames] + [f.r for f in frames],
+            [f.b for f in frames] + [f.t for f in frames],
+        )):
+            if len(set(lines)) < 2 * n:
+                shared = {v for v, k in Counter(lines).items() if k > 1}
+                for k, v in enumerate(lines):
+                    if v in shared:
+                        f = frames[k % n]
+                        ends = (f.b, f.t) if axis == 0 else (f.l, f.r)
+                        sides.append((axis, v, *ends, k % n))
+        sides.sort()
         for (axis, v, _, end, i), (axis2, v2, start, _, j) in zip(sides, sides[1:]):
             if (axis2, v2) == (axis, v) and start <= end:
                 x, y = (v, start) if axis == 0 else (start, v)
@@ -104,19 +113,31 @@ class FrameFamily:
                     f"corner ({x}, {y}) of frame {frames[j].id!r} "
                     f"lies on frame {frames[i].id!r}"
                 )
-        self.frames = tuple(frames)
+        self._frames = tuple(frames)
+        self._sweep = None
+
+    @property
+    def frames(self) -> tuple:
+        """The frames in id order."""
+        return self._frames
+
+    def _swept(self) -> tuple:
+        """_scan of the frames, run on first use."""
+        if self._sweep is None:
+            self._sweep = _scan(self._frames)
+        return self._sweep
 
     def __iter__(self):
-        return iter(self.frames)
+        return iter(self._frames)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self._frames)
 
     def __eq__(self, other):
-        return isinstance(other, FrameFamily) and self.frames == other.frames
+        return isinstance(other, FrameFamily) and self._frames == other._frames
 
     def __repr__(self):
-        return f"FrameFamily({len(self.frames)} frames)"
+        return f"FrameFamily({len(self._frames)} frames)"
 
 
 def frames_intersect(f: Frame, g: Frame) -> bool:
@@ -139,9 +160,10 @@ def _inside(f: Frame, g: Frame) -> bool:
 def _scan(fs) -> tuple:
     """Every pair of frames fs whose closed boxes overlap, classified, as
     pairs of ids: verify_strict's report, the pairs (f, g) where g escapes
-    f through its right side, the pairs (f, g) where f sits inside g, and
-    the pairs, in the order of fs, whose boundaries meet in any other way,
-    as frames_intersect says.
+    f through its right side, the pairs (f, c) where c is the last frame in
+    the sweep that holds f, in the sweep's order, and the pairs, in the
+    order of fs, whose boundaries meet in any other way, as frames_intersect
+    says.
 
     A sweep in x: with the frames sorted by left side, the frames whose box
     overlaps f's in x and that come after f are those whose left side lies
@@ -150,13 +172,15 @@ def _scan(fs) -> tuple:
     against the frames h with g.l < h.l < f.r, the only ones that can
     escalate it, in a second window.  Pairs and triples are sorted back into
     the order of fs, so the report lists them as a pair loop over fs would.
-    The cost is O(n log n) plus the pairs that overlap in x and the triple
-    windows.
+    In a strict family the frames that hold f form a chain (a frame inside
+    two crossing frames escalates their crossing), so the last is f's
+    cover, and nesting is the covers' ancestor relation.  The cost is
+    O(n log n) plus the pairs that overlap in x and the triple windows.
     """
     boxes = sorted((f.l, f.r, f.b, f.t, i, f.id) for i, f in enumerate(fs))
     lefts = [box[0] for box in boxes]
     crossings = []
-    nestings = []
+    cover = {}
     meets = []
     escalated = []  # (min(i, j), max(i, j), f, g, hits) for crossings (f, g)
     for k, (l, r, b, t, i, f) in enumerate(boxes):
@@ -164,7 +188,7 @@ def _scan(fs) -> tuple:
             if t < b2 or t2 < b:
                 continue  # the boxes are apart
             if l < l2 and r2 < r and b < b2 and t2 < t:
-                nestings.append((g, f))
+                cover[g] = f
             elif l < l2 and r < r2 and b < b2 and t2 < t:
                 crossings.append((f, g))
                 lo = bisect_right(lefts, l2, k + 1)
@@ -186,35 +210,41 @@ def _scan(fs) -> tuple:
         for _, _, f, g, hits in escalated
         for h in hits
     )
-    return VerificationReport(tuple(viols)), crossings, nestings, meets
+    covers = [(f, cover[f]) for *_, f in boxes if f in cover]
+    return VerificationReport(tuple(viols)), crossings, covers, meets
 
 
 def verify_strict(family: FrameFamily) -> VerificationReport:
     """Check strictness: pair patterns and the three-frame escalation, by
-    one sweep in x (see _scan)."""
-    return _scan(family.frames)[0]
+    the family's sweep in x (see _scan)."""
+    return family._swept()[0]
 
 
 def extract_burling(family: FrameFamily) -> BurlingSet:
     """The Burling set realized by a strict family: nesting gives prec,
-    crossing gives adj.  Strict families and Burling sets describe the same
-    graphs, so the result is not verified again."""
+    crossing gives adj, prec read up the sweep's covers.  Strict families
+    and Burling sets describe the same graphs, so the result is not
+    verified again."""
     fs = family.frames
-    report, crossings, nestings, _ = _scan(fs)
+    report, crossings, covers, _ = family._swept()
     if not report.ok:
         raise InputError(f"family is not strict: {report.lines()[0]}")
     if not fs:
         raise InputError("cannot extract from an empty family")
-    return BurlingSet((f.id for f in fs), nestings, ((g, f) for f, g in crossings))
+    above = {}  # id -> its prec-targets; a cover comes before what it holds
+    for f, c in covers:
+        above[f] = (c, *above.get(c, ()))
+    prec = [(f, c) for f, cs in above.items() for c in cs]
+    return BurlingSet([f.id for f in fs], prec, [(g, f) for f, g in crossings])
 
 
 def intersection_graph(family: FrameFamily) -> Graph:
     """One vertex per frame in id order, an edge per intersecting pair: the
-    crossings and the other meeting pairs of _scan, since nested frames are
-    the only overlapping boxes whose boundaries do not meet.  Only the
-    tests call it."""
+    crossings and the other meeting pairs of the family's sweep, since
+    nested frames are the only overlapping boxes whose boundaries do not
+    meet.  Only the tests call it."""
     fs = family.frames
-    _, crossings, _, meets = _scan(fs)
+    _, crossings, _, meets = family._swept()
     index = {f.id: i for i, f in enumerate(fs)}
     return Graph(len(fs), ((index[f], index[g]) for f, g in crossings + meets))
 

@@ -18,6 +18,7 @@ Weights: one line per element, "name weight", nonnegative integers.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import BurlingSet
@@ -73,8 +74,16 @@ def _element_name(v) -> str:
 
 
 def _pair_list(raw, key: str) -> list:
+    """The pairs of raw as tuples of names, checked in bulk; only when that
+    check fails are they walked one by one to name the first bad entry."""
     if not isinstance(raw, list):
         raise InputError(f"{key!r} must be a list of pairs")
+    if (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {str}
+    ):
+        return list(map(tuple, raw))
     out = []
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:

@@ -25,6 +25,7 @@ from burling import (
     verify_strict,
     vertical_order,
 )
+from burling import frames as frames_module
 from burling.core import VerificationReport, Violation, _topo_sort
 from burling.errors import ContractError, InputError
 from burling.frames import _inside, _scan
@@ -62,8 +63,23 @@ def test_frame_validation():
 
 
 def test_family_rejects_duplicate_ids():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^duplicate frame id 'x'$"):
         FrameFamily([Frame("x", 0, 1, 0, 1), Frame("x", 2, 3, 2, 3)])
+    # the smallest duplicated id is named
+    frames = [Frame(i, 3 * k, 3 * k + 1, 0, 1) for k, i in enumerate("babca")]
+    with pytest.raises(InputError, match="^duplicate frame id 'a'$"):
+        FrameFamily(frames)
+
+
+def test_family_frames_is_read_only():
+    # Assigning would skip the id and general-position checks and leave
+    # the family's kept sweep stale.
+    fam = fig3_family()
+    with pytest.raises(AttributeError):
+        fam.frames = ()
+    with pytest.raises(AttributeError):
+        fam.other = 1
+    assert fam == fig3_family()
 
 
 def test_family_rejects_ids_that_do_not_compare():
@@ -78,6 +94,9 @@ def test_family_rejects_corner_on_frame():
     # sharing a full corner point counts too
     with pytest.raises(InputError, match=r"^corner \(4, 4\) of frame 'y' lies on frame 'x'$"):
         FrameFamily([Frame("x", 0, 4, 0, 4), Frame("y", 4, 8, 4, 8)])
+    # x = 4 holds three sides; only the upper two meet, at (4, 5)
+    with pytest.raises(InputError, match=r"^corner \(4, 5\) of frame 'z' lies on frame 'y'$"):
+        FrameFamily([Frame("x", 0, 4, 0, 2), Frame("y", 4, 8, 3, 5), Frame("z", 2, 4, 5, 9)])
 
 
 def _corners(f: Frame):
@@ -320,6 +339,18 @@ def _random_families(rng, count):
         yield fam
 
 
+def _ancestor_pairs(covers) -> set:
+    """The pairs (f, a) with a reached from f by following covers."""
+    cover = dict(covers)
+    pairs = set()
+    for f in cover:
+        a = cover[f]
+        while a is not None:
+            pairs.add((f, a))
+            a = cover.get(a)
+    return pairs
+
+
 def test_sweep_matches_the_pair_loop():
     rng = random.Random(83)
     families = list(_random_families(rng, 8000))
@@ -330,16 +361,58 @@ def test_sweep_matches_the_pair_loop():
         families.append(build_frames(gen_burling(cfg)))
     not_strict = 0
     for fam in families:
-        report, crossings, nestings = _scan(fam.frames)[:3]
+        report, crossings, covers, _ = _scan(fam.frames)
         expected = _pair_loop_scan(fam.frames)
         assert report.lines() == expected[0].lines(), fam.frames
         assert set(crossings) == expected[1]
-        assert set(nestings) == expected[2]
+        # Each frame's cover is its holder with the rightmost left side, and
+        # in a strict family the covers' ancestor relation is nesting.
+        left = {f.id: f.l for f in fam}
+        holders = {}
+        for f, g in expected[2]:
+            holders.setdefault(f, []).append(g)
+        assert dict(covers) == {f: max(gs, key=left.get) for f, gs in holders.items()}
+        if report.ok:
+            assert _ancestor_pairs(covers) == expected[2]
         assert verify_strict(fam) == report
         assert _extracted(fam) == _reference_extracted(fam)
         not_strict += not report.ok
     assert not_strict > 1000, not_strict
     assert len(families) - not_strict > 1000
+
+
+def test_family_keeps_one_sweep(monkeypatch):
+    # verify_strict, extract_burling and intersection_graph read the
+    # family's one sweep, counted as the relation index's sorts are.
+    scans = []
+
+    def counting_scan(fs):
+        scans.append(len(fs))
+        return _scan(fs)
+
+    monkeypatch.setattr(frames_module, "_scan", counting_scan)
+    b = gen_burling(GeneratorConfig(seed=3, target_size=60))
+    fam = build_frames(b)
+    assert scans == []
+    assert verify_strict(fam).ok
+    assert extract_burling(fam) == b
+    assert intersection_graph(fam) == induced_graph(b)
+    assert scans == [60]
+
+
+def test_sweep_keeps_covers_not_nestings():
+    # What a family keeps is linear in its frames plus its crossings: one
+    # cover per held frame, where the nestings number prec's closure.
+    covers = nestings = 0
+    for seed in range(20):
+        b = gen_burling(GeneratorConfig(seed, 100, probe_bias=0.3, join_mix=0.8))
+        report, crossings, held, meets = _scan(build_frames(b).frames)
+        assert report.ok and not meets
+        assert len(crossings) == len(b.adj)
+        assert dict(held) == {x: c for x, c in b._cover.items() if c is not None}
+        covers += len(held)
+        nestings += len(b.prec)
+    assert (covers, nestings) == (1942, 56131)
 
 
 def test_intersection_graph_follows_frames_intersect():
