@@ -55,12 +55,16 @@ class GeneratorConfig:
     join_mix: float = 0.5  # chance a join folds probes vs adds a crossing
 
     def __post_init__(self):
+        for name in ("seed", "target_size"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"{name} must be an integer, got {v!r}")
         if self.target_size < 1:
             raise InputError("target_size must be at least 1")
         for name in ("probe_bias", "join_mix"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"{name} must lie in [0, 1]")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0.0 <= v <= 1.0:
+                raise InputError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
 def _pick(rng: SplitMix64, pool) -> object:

@@ -21,7 +21,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(n, int) or n < 0:
+        # plain ints only, which leaves out bool
+        if type(n) is not int or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         seen = set()
         adj = [set() for _ in range(n)]
@@ -30,7 +31,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise InputError(f"edge must be a pair of vertices, got {e!r}") from None
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if type(u) is not int or type(v) is not int:
                 raise InputError(f"edge endpoints must be integers, got {e!r}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")

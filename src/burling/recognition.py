@@ -66,8 +66,8 @@ the shapes of all the children of a root before it demands the first, and
 skips the root when one is known to fail or is refuted.  A rooted one
 checks the shapes of rooted(q, C) for its components C that are not
 inner-eligible, which must be outer, and fails in the same case.  A shape
-checked there goes along with the demand, so the child does not check it
-again, and lives no longer than the demanding subproblem.  Each refutation
+that passes is kept until its key is demanded, so no shape is checked
+twice, even for a child of a root that was then abandoned.  Each refutation
 stands for a failure the recursive search would reach: the skipped root
 would have failed at that child, the rooted subproblem at that component.
 Each key's answer and plan depend only on the key, so only the order in
@@ -77,14 +77,14 @@ witness stays as it was.  When S-r is connected, the check that each probe
 of an unrooted subproblem reaches into a single component of S-r holds
 vacuously and is skipped.
 
-The memo keeps only each subproblem's plan: for unrooted(S) the chosen root
-and its components, for rooted(r, S) the inner, outer and pendant parts and
-the nesting order of the inner parts; a failed or refuted subproblem is
-kept as None.  The witness is built once at the end from the plans of the
-solved tree.  Subproblems are solved on demand, in the order the recursive
-definition visits them: each one is a generator that yields the
-subproblems it needs and receives their plans, driven by a loop over an
-explicit stack, so deep inputs need no recursion.
+The memo keeps each subproblem's plan: for unrooted(S) the chosen root and
+its components, for rooted(r, S) the inner, outer and pendant parts and the
+nesting order of the inner parts, each followed by N[S]; a failed or
+refuted subproblem is kept as None.  The witness is built once at the end
+from the plans of the solved tree, N[S] included.  Subproblems are solved
+on demand, in the order the recursive definition visits them: each one is
+a generator that yields the subproblems it needs and receives their plans,
+driven by a loop over an explicit stack, so deep inputs need no recursion.
 
 The core is a Burling graph exactly when unrooted(empty, C) is solvable for
 every component C, and the union of those solutions is a witness.
@@ -146,9 +146,10 @@ class _Recognizer:
     the program follows is the order of the names, except the order in
     which roots are tried: turn[v] sorts v by degree, highest first, then
     by name (see the module docstring).  plans maps (None, S) to an
-    unrooted plan (r, components) and (r, S) to a rooted plan (inner,
-    outer, pendant, order), or either to None when the subproblem has no
-    solution.
+    unrooted plan (r, components, N[S]) and (r, S) to a rooted plan (inner,
+    outer, pendant, order, N[S]), or either to None when the subproblem has
+    no solution.  shapes maps a rooted key to its shape while that shape
+    has passed its check and the key has not been demanded.
     """
 
     def __init__(self, g: Graph, names: tuple):
@@ -160,6 +161,7 @@ class _Recognizer:
         n = len(names)
         self.turn = [i - n * a.bit_count() for i, a in enumerate(self.adj)]
         self.plans = {}
+        self.shapes = {}
 
     # -- vertex sets ------------------------------------------------------
 
@@ -227,58 +229,50 @@ class _Recognizer:
     def solve(self, key):
         """The plan of the subproblem key, solving every subproblem it
         demands first, depth first in demand order.  A generator demands a
-        subproblem by yielding (key, shape): shape is the key's checked
-        shape, or None when it has not been checked."""
+        subproblem by yielding its key."""
         plans = self.plans
         stack = []
-        value = self._demand(key, None, stack)
+        value = self._demand(key, stack)
         while stack:
             top, gen = stack[-1]
             try:
-                child, shape = gen.send(value)
+                child = gen.send(value)
             except StopIteration as done:
                 stack.pop()
                 value = plans[top] = done.value
                 continue
-            value = self._demand(child, shape, stack)
+            value = self._demand(child, stack)
         return plans[key]
 
-    def _demand(self, key, shape, stack):
-        """key's plan when it is known, or None when its shape refutes it
-        (stored as its plan); else None, with key's generator pushed on the
-        stack."""
-        plans = self.plans
-        if key not in plans:
+    def _demand(self, key, stack):
+        """key's plan when it is known or its shape refutes it; else None,
+        with key's generator pushed on the stack, a rooted one taking the
+        shape kept for it."""
+        if key not in self.plans:
             r, s = key
             if r is None:
                 stack.append((key, self._unrooted(s)))
                 return None
-            if shape is None:
-                shape = self._shape(r, s)
-            if shape is not None:
-                stack.append((key, self._rooted(r, s, shape)))
+            if not self._refuted(key):
+                stack.append((key, self._rooted(r, s, self.shapes.pop(key))))
                 return None
-            plans[key] = None
-        return plans[key]
+        return self.plans[key]
 
-    def _shapes(self, keys):
-        """The shapes of the rooted subproblems keys, in order, None for a
-        key already solved; or None when some key is known to fail or its
-        shape refutes it (stored as a failed plan), checking no further
-        keys.  Never recurses."""
-        plans, shapes = self.plans, []
-        for key in keys:
-            if key in plans:
-                if plans[key] is None:
-                    return None
-                shapes.append(None)
-                continue
+    def _refuted(self, key) -> bool:
+        """Whether the rooted subproblem key is known to fail or its shape
+        refutes it, stored then as a failed plan.  A shape that passes is
+        kept in shapes until key is demanded, so each key's shape is checked
+        at most once.  Never recurses."""
+        plans = self.plans
+        if key in plans:
+            return plans[key] is None
+        if key not in self.shapes:
             shape = self._shape(*key)
             if shape is None:
                 plans[key] = None
-                return None
-            shapes.append(shape)
-        return shapes
+                return True
+            self.shapes[key] = shape
+        return False
 
     def _unrooted(self, s):
         """Solves unrooted(S): yields the subproblems it needs, in order, and
@@ -312,15 +306,13 @@ class _Recognizer:
             if len(comps) > 1 and not all(_inside_one(t & ~rb, comps) for t in reach):
                 continue
             # refute the root by its children's shapes before demanding any
-            keys = [(r, c) for c in comps]
-            shapes = self._shapes(keys)
-            if shapes is None:
+            if any(self._refuted((r, c)) for c in comps):
                 continue
-            for key, shape in zip(keys, shapes):
-                if (yield key, shape) is None:
+            for c in comps:
+                if (yield r, c) is None:
                     break
             else:
-                return r, tuple(comps)
+                return r, tuple(comps), nclosed
         return None
 
     def _shape(self, r, s):
@@ -399,19 +391,17 @@ class _Recognizer:
         comps, nclosed = shape
         # A component that may not be inner must be outer: refute the
         # subproblem by those children's shapes before demanding any.
-        shapes = self._shapes([(q, c) for c, q, inner in comps if not inner])
-        if shapes is None:
+        if any(self._refuted((q, c)) for c, q, inner in comps if not inner):
             return None
-        checked = iter(shapes)
         # Inner components will be represented nested inside r, outer ones
         # beside r, attached through their link q.  A component that
         # qualifies both ways is taken as inner.
         inner_parts, outer = [], []  # outer: (component, q)
         for c, q, inner in comps:
-            if inner and (yield (None, c), None) is not None:
+            if inner and (yield None, c) is not None:
                 inner_parts.append(c)
                 continue
-            if q is not None and (yield (q, c), None if inner else next(checked)) is not None:
+            if q is not None and (yield q, c) is not None:
                 outer.append((c, q))
                 continue
             return None
@@ -424,7 +414,7 @@ class _Recognizer:
         order = nesting_order(self.g, [[name[v] for v in _members(c)] for c in inner_parts])
         if order is None:
             return None
-        return tuple(inner_parts), tuple(outer), tuple(pendant), order
+        return tuple(inner_parts), tuple(outer), tuple(pendant), order, nclosed
 
     # -- witnesses ----------------------------------------------------------
 
@@ -441,9 +431,8 @@ class _Recognizer:
             done.add(key)
             r, s = key
             plan = self.plans[key]
-            nclosed = s | self._around(s)
             if r is None:
-                root, comps = plan
+                root, comps, nclosed = plan
                 todo += ((root, c) for c in comps)
                 rb = self.bit[root]
                 adj_pairs.update(
@@ -452,14 +441,14 @@ class _Recognizer:
                     if adj[p] & nclosed == rb
                 )
                 continue
-            inner, outer, pendant, order = plan
+            inner, outer, pendant, order, nclosed = plan
             todo += ((None, c) for c in inner)
             todo += ((q, c) for c, q in outer)
             for c in inner:
                 prec_pairs.update((name[x], name[r]) for x in _members(c))
             for i, j in order:
                 c1, c2 = inner[i], inner[j]
-                nb1 = self._around(c1) & ~c1
+                nb1 = self.plans[None, c1][-1] & ~c1
                 targets = [name[y] for y in _members(c2) if adj[y] & nb1]
                 prec_pairs.update((name[x], y) for x in _members(c1) for y in targets)
             adj_pairs.update((name[q], name[r]) for q in _members(adj[r] & nclosed))
@@ -484,10 +473,11 @@ def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     number = {v: i for i, v in enumerate(names)}
     local = sum(rec.bit[number[v]] for v in s)
     key = (None if root is None else number[root], local)
-    if rec.solve(key) is None:
+    plan = rec.solve(key)
+    if plan is None:
         return None
     prec, adj = rec.pairs(key)
-    elements = frozenset(names[v] for v in _members(local | rec._around(local)))
+    elements = frozenset(names[v] for v in _members(plan[-1]))
     if any(x not in elements for pair in prec | adj for x in pair):
         raise ContractError("subproblem solution covers the wrong element set")
     return BurlingSet(elements, prec, adj)

@@ -21,6 +21,12 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         Graph(-1, [])
+    # bool is an int subclass, so it is refused by name
+    with pytest.raises(InputError, match="vertex count"):
+        Graph(True)
+    for edge in ((False, True), (0, True), (False, 1)):
+        with pytest.raises(InputError, match="endpoints must be integers"):
+            Graph(3, [edge])
 
 
 def test_adjacency_is_symmetric():

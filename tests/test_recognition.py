@@ -191,7 +191,7 @@ def test_soundness_check_catches_a_broken_plan(monkeypatch):
 
     def forgetful(self, s):
         plan = yield from solve(self, s)
-        return plan and (plan[0], ())
+        return plan and (plan[0], (), plan[-1])
 
     monkeypatch.setattr(recognition._Recognizer, "_unrooted", forgetful)
     assert not _sound(_C6, recognize(_C6))
@@ -264,11 +264,9 @@ class _Recursive(recognition._Recognizer):
     demands its children until one fails, and no child is checked before
     it is demanded."""
 
-    def _shape(self, r, s):
-        return ()
-
-    def _shapes(self, keys):
-        return [None] * len(keys)
+    def _refuted(self, key):
+        self.shapes[key] = None  # no shape: _rooted derives its own
+        return False
 
     def _rooted(self, r, s, shape):
         adj, bit = self.adj, self.bit
@@ -279,13 +277,13 @@ class _Recursive(recognition._Recognizer):
         for c, around in _components(adj, s & ~nr):
             around_s |= around
             nc = around & ~c
-            if not nc & ~nr and (yield (None, c), None) is not None:
+            if not nc & ~nr and (yield None, c) is not None:
                 inner.append(c)
                 continue
             link = nc & nr
             if link and not link & (link - 1) and link & s:
                 q = link.bit_length() - 1
-                if (yield (q, c), None) is not None:
+                if (yield q, c) is not None:
                     outer.append((c, q))
                     continue
             return None
@@ -305,7 +303,7 @@ class _Recursive(recognition._Recognizer):
         order = nesting_order(self.g, [[name[v] for v in recognition._members(c)] for c in inner])
         if order is None:
             return None
-        return tuple(inner), tuple(outer), tuple(pendant), order
+        return tuple(inner), tuple(outer), tuple(pendant), order, nclosed
 
 
 def test_shape_refutations_hold_under_the_recursive_program(monkeypatch):
@@ -331,6 +329,31 @@ def test_shape_refutations_hold_under_the_recursive_program(monkeypatch):
         checked += len(rec.plans)
         explored += len(full.plans)
     assert checked < explored
+
+
+def test_each_shape_is_checked_once(monkeypatch):
+    # A shape that passes is kept until its subproblem is demanded, also
+    # when the root that checked it is abandoned first.  Recomputing those
+    # would take 2 277 shape checks on the accepted graphs and 41 314 on the
+    # rejected ones, against 2 237 and 41 135.
+    made, calls = [], {}
+    shape = recognition._Recognizer._shape
+
+    class Recording(recognition._Recognizer):
+        def __init__(self, g, names):
+            super().__init__(g, names)
+            made.append(self)
+
+        def _shape(self, r, s):
+            calls[self, r, s] = calls.get((self, r, s), 0) + 1
+            return shape(self, r, s)
+
+    monkeypatch.setattr(recognition, "_Recognizer", Recording)
+    for g in _accept_graphs() + _reject_graphs():
+        recognize(g)
+    assert len(calls) == 2_237 + 41_135
+    assert sum(calls.values()) == len(calls)
+    assert all(rec.plans.keys().isdisjoint(rec.shapes) for rec in made)
 
 
 def test_subproblem_count_bound():

@@ -87,6 +87,17 @@ def test_generator_config_validation():
         GeneratorConfig(seed=0, target_size=3, probe_bias=-0.1)
     with pytest.raises(InputError):
         GeneratorConfig(seed=0, target_size=3, join_mix=1.1)
+    # types are checked here, not left to fail inside gen_burling; bool is
+    # an int subclass, so it is refused by name
+    for seed, size in ((1.5, 3), ("x", 3), (True, 3), (0, 2.5), (0, True), (0, "3")):
+        with pytest.raises(InputError, match="must be an integer"):
+            GeneratorConfig(seed=seed, target_size=size)
+    for bias in ("x", None, True, "0.5"):
+        with pytest.raises(InputError, match="must be a number"):
+            GeneratorConfig(seed=0, target_size=3, probe_bias=bias)
+        with pytest.raises(InputError, match="must be a number"):
+            GeneratorConfig(seed=0, target_size=3, join_mix=bias)
+    GeneratorConfig(seed=-1, target_size=3, probe_bias=1, join_mix=0)
 
 
 def test_gen_burling_sizes_and_axioms():
@@ -264,28 +275,39 @@ def _triangle_free_census(top):
     return census
 
 
+def _deleting(n, edges, x):
+    """The graph on n - 1 vertices that deleting vertex x leaves, the
+    vertices above x moved down by one."""
+    return Graph(n - 1, [(u - (u > x), v - (v > x)) for u, v in edges if x not in (u, v)])
+
+
 def test_census_of_triangle_free_graphs_matches_the_oracle():
     # Every triangle-free graph on up to 8 vertices, up to isomorphism
     # (OEIS A006785), is recognized as the exhaustive search recognizes
     # it.  The first non-Burling graphs appear at 7 vertices (Q3 minus a
-    # vertex); 16 of the 8-vertex ones are not Burling graphs either.  About
-    # 3 s on a 2-vCPU machine, 0.5 s of it the census itself.
+    # vertex); 16 of the 8-vertex ones are not Burling graphs either, and 4
+    # of those are vertex-minimal: deleting any one vertex leaves a Burling
+    # graph.  About 3 s on a 2-vCPU machine, 0.5 s of it the census itself.
     start = time.perf_counter()
     census = _triangle_free_census(8)
     assert [len(graphs) for graphs in census[1:]] == [1, 2, 3, 7, 14, 38, 107, 410]
-    rejected = []
+    rejected, minimal = [], []
     for n, graphs in enumerate(census):
         rejected.append(0)
+        minimal.append(0)
         for nbrs in graphs:
-            g = Graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+            edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
+            g = Graph(n, edges)
             fast, slow = recognize(g), exhaustive_recognize(g)
             assert (fast is None) == (slow is None), nbrs
             if fast is None:
                 rejected[n] += 1
+                minimal[n] += all(recognize(_deleting(n, edges, x)) is not None for x in range(n))
                 continue
             for b in (fast, slow):
                 assert verify_axioms(b).ok and induced_graph(b).adj == g.adj
-    assert rejected == [0, 0, 0, 0, 0, 0, 0, 1, 16]
+    assert rejected == [0] * 7 + [1, 16]
+    assert minimal == [0] * 7 + [1, 4]
     assert time.perf_counter() - start < 30.0
 
 
