@@ -53,14 +53,22 @@ def _print_mis(result) -> int:
     return 0
 
 
-def cmd_recognize(args) -> int:
-    g = parse_graph_text(_read(args.graph))
-    b = recognize(g)
+def _print_witness(b) -> int:
     if b is None:
         print("NOT_BURLING")
         return 1
     print(dump_burling_json(b))
     return 0
+
+
+def _print_report(report) -> int:
+    for line in report.lines():  # ["OK"] when the report is clean
+        print(line)
+    return 0 if report.ok else 1
+
+
+def cmd_recognize(args) -> int:
+    return _print_witness(recognize(parse_graph_text(_read(args.graph))))
 
 
 def cmd_frames(args) -> int:
@@ -78,14 +86,7 @@ def cmd_mis(args) -> int:
 
 
 def cmd_verify_set(args) -> int:
-    b = load_burling_json(_read(args.setfile))
-    report = verify_axioms(b)
-    if report.ok:
-        print("OK")
-        return 0
-    for line in report.lines():
-        print(line)
-    return 1
+    return _print_report(verify_axioms(load_burling_json(_read(args.setfile))))
 
 
 def cmd_verify_frames(args) -> int:
@@ -95,13 +96,7 @@ def cmd_verify_frames(args) -> int:
     except InputError as e:
         print(str(e))
         return 1
-    report = verify_strict(family)
-    if report.ok:
-        print("OK")
-        return 0
-    for line in report.lines():
-        print(line)
-    return 1
+    return _print_report(verify_strict(family))
 
 
 def cmd_gen(args) -> int:
@@ -125,13 +120,7 @@ def cmd_svg(args) -> int:
 
 
 def cmd_oracle_recognize(args) -> int:
-    g = parse_graph_text(_read(args.graph))
-    b = exhaustive_recognize(g)
-    if b is None:
-        print("NOT_BURLING")
-        return 1
-    print(dump_burling_json(b))
-    return 0
+    return _print_witness(exhaustive_recognize(parse_graph_text(_read(args.graph))))
 
 
 def cmd_oracle_mis(args) -> int:

@@ -269,26 +269,25 @@ def horizontal_constraints(b: BurlingSet) -> list:
     idx = {x: i for i, x in enumerate(order)}
     topo, _, up = b._forest
     pos = {x: i for i, x in enumerate(topo)}
-    out_adj, in_adj = b._adj_maps
+    out_adj = b._adj_maps[0]
+    # z -> the right symbol of z's last adj-target, for z with adj-targets
+    escape = {z: 2 * idx[max(ts, key=pos.__getitem__)] + 1 for z, ts in out_adj.items() if ts}
     cons = set()
-    children = {x: [] for x in order}
     for i, a in enumerate(order):
         cons.add((2 * i, 2 * i + 1))
         c = up[a]
         if c is not None:
-            children[c].append(a)
             cons.add((2 * idx[c], 2 * i))  # l_c < l_a since a prec c
             cons.add((2 * i, 2 * idx[c] + 1))  # l_a < r_c
             cons.add((2 * i + 1, 2 * idx[c] + 1))
+            if c in escape:
+                cons.add((escape[c], 2 * i))
     for a, c in b.adj:
         cons.add((2 * idx[c], 2 * idx[a]))
         cons.add((2 * idx[a], 2 * idx[c] + 1))
         cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
-    for z in order:
-        if out_adj[z]:
-            right = 2 * idx[max(out_adj[z], key=pos.__getitem__)] + 1
-            for y in in_adj[z].union(children[z]):
-                cons.add((right, 2 * idx[y]))
+        if c in escape:
+            cons.add((escape[c], 2 * idx[a]))
     return sorted(cons)
 
 
@@ -317,32 +316,22 @@ def vertical_order(b: BurlingSet) -> dict:
     """
     order = b._order
     _, parent, _ = b._forest
-    roots = []
     children = {x: [] for x in order}
     for x in order:
-        p = parent[x]
-        if p is None:
-            roots.append(x)
-        else:
-            children[p].append(x)
-
+        if parent[x] is not None:
+            children[parent[x]].append(x)
+    # (element, enter time), the time None until the element is entered
+    stack = [(x, None) for x in reversed(order) if parent[x] is None]
     vals = {}
     clock = 1
-    for root in roots:
-        stack = [(root, iter(children[root]))]
-        enter = {root: clock}
+    while stack:
+        x, enter = stack.pop()
+        if enter is None:
+            stack.append((x, clock))
+            stack.extend((c, None) for c in reversed(children[x]))
+        else:
+            vals[x] = (enter, clock)
         clock += 1
-        while stack:
-            node, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                vals[node] = (enter[node], clock)
-                clock += 1
-                stack.pop()
-            else:
-                enter[child] = clock
-                clock += 1
-                stack.append((child, iter(children[child])))
     return vals
 
 

@@ -4,8 +4,9 @@ Vertices are the integers 0..n-1.  Besides the graph type itself this module
 holds the vertex-set helpers on Graph: neighborhoods, connected components
 of induced subgraphs, triangle detection, and nesting orders of set
 families, which rest on homogeneity of one set toward another.  The
-recognizer runs on its own bitmasks and calls only components,
-is_triangle_free and nesting_order.
+recognizer runs on its own bitmasks and calls only components and
+is_triangle_free; it orders its inner parts by _nesting, the mask routine
+behind nesting_order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _as_vertex_set(g: Graph, s: Iterable[int]) -> frozenset:
     """Validate an iterable of vertices of g and return it as a frozenset."""
     out = frozenset(s)
     for v in out:
-        if not isinstance(v, int) or not (0 <= v < g.n):
+        if type(v) is not int or not (0 <= v < g.n):
             raise InputError(f"vertex {v!r} out of range for {g.n} vertices")
     return out
 
@@ -110,14 +111,6 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
-def _homogeneous(g: Graph, s_prime: frozenset, s: frozenset) -> bool:
-    for x in s:
-        hit = s_prime & g.adj[x]
-        if hit and hit != s_prime:
-            return False
-    return True
-
-
 def nesting_order(
     g: Graph, family: list[Iterable[int]]
 ) -> Optional[frozenset[tuple[int, int]]]:
@@ -130,40 +123,50 @@ def nesting_order(
     pairs (i, j) meaning family[i] < family[j], such that comparable pairs
     satisfy the subset-and-homogeneous clause in that direction and
     incomparable pairs have disjoint neighborhoods.  Returns None when some
-    pair violates all three clauses.
-
-    Pairs whose neighborhoods are equal and homogeneous both ways are ordered
-    by (neighborhood size, index), which keeps the relation transitive:
-    homogeneity of a set for a target descends to subsets of that set, so a
-    forced direction always agrees with that key.
+    pair violates all three clauses.  A pair that meets both subset clauses
+    has equal neighborhoods, and is ordered by index, the lower first.  The
+    recognizer calls _nesting on its own masks; this checked entry point
+    serves callers outside the package and the tests.
     """
     sets = [_as_vertex_set(g, c) for c in family]
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if sets[i] & sets[j]:
                 raise InputError(f"family members {i} and {j} overlap")
-    nbs = []
-    for c in sets:
-        acc = set()
-        for v in c:
-            acc |= g.adj[v]
-        nbs.append(frozenset(acc - c))
+    nbs = [frozenset().union(*(g.adj[v] for v in c)) - c for c in sets]
+    # masks numbered over the vertices the family touches, not the graph's
+    number = {v: i for i, v in enumerate(frozenset().union(*sets, *nbs))}
+
+    def mask(vs) -> int:
+        return sum(1 << number[v] for v in vs)
+
+    adj = {number[v]: mask(g.adj[v]) for c in sets for v in c}
+    return _nesting(adj, [mask(c) for c in sets], [mask(nb) for nb in nbs])
+
+
+def _nesting(adj, parts, nbs) -> Optional[frozenset[tuple[int, int]]]:
+    """nesting_order on masks: parts[i] is the i-th member as a vertex mask,
+    nbs[i] its open neighborhood, and adj[v] the neighborhood mask of each
+    member vertex v.  N(C1) is homogeneous for C2 when every vertex of C2
+    sees all of it or none."""
+
+    def homogeneous(nb: int, part: int) -> bool:
+        while part:
+            v = part.bit_length() - 1
+            if adj[v] & nb not in (0, nb):
+                return False
+            part ^= 1 << v
+        return True
+
     order = set()
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if not (nbs[i] & nbs[j]):
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if not nbs[i] & nbs[j]:
                 continue
-            fwd = nbs[i] <= nbs[j] and _homogeneous(g, nbs[i], sets[j])
-            bwd = nbs[j] <= nbs[i] and _homogeneous(g, nbs[j], sets[i])
-            if not fwd and not bwd:
-                return None
-            if fwd and bwd:
-                if (len(nbs[i]), i) < (len(nbs[j]), j):
-                    order.add((i, j))
-                else:
-                    order.add((j, i))
-            elif fwd:
+            if not nbs[i] & ~nbs[j] and homogeneous(nbs[i], parts[j]):
                 order.add((i, j))
-            else:
+            elif not nbs[j] & ~nbs[i] and homogeneous(nbs[j], parts[i]):
                 order.add((j, i))
+            else:
+                return None
     return frozenset(order)

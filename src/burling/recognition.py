@@ -3,21 +3,21 @@
 Vertices of degree at most one are peeled off first, one at a time, until
 none is left; each peeled vertex v is recorded with its one neighbor u left
 at that time, or none.  What remains is the 2-core, and only its components
-go to the dynamic program below, in a graph that holds only the core's
-edges.  The peeled vertices are then attached back in reverse order: v gets
-the pair v adj u and the pairs v prec z for every z with u prec z, or no
-pair at all when it had no neighbor left.  This is exact.  Burling graphs
-are closed under induced subgraphs, so a Burling graph has a Burling core.
-Conversely each attachment keeps the axioms: v's prec-targets are u's, a
-chain closed under prec; v has a single adj-target; u prec z for each of
-v's prec-targets z, which adj-target-enclosed asks; v prec z for each of
-u's, which adj-extends-upward asks; and no pair enters v, so the checks of
-the other elements do not change.  The graph gains just the edge vu.  In
-frames, v is a small frame straddling the right side of u's, inside every
-frame that holds u's: the generator's probe move, without asking that u be
-exposed.  So peeling changes no verdict, only the witness, and the dynamic
-program, about cubic in the core on a failing search, never sees the
-tree-like fringe.
+go to the dynamic program below, on adjacency masks that hold only the
+component's own vertices.  The peeled vertices are then attached back in
+reverse order: v gets the pair v adj u and the pairs v prec z for every z
+with u prec z, or no pair at all when it had no neighbor left.  This is
+exact.  Burling graphs are closed under induced subgraphs, so a Burling
+graph has a Burling core.  Conversely each attachment keeps the axioms: v's
+prec-targets are u's, a chain closed under prec; v has a single adj-target;
+u prec z for each of v's prec-targets z, which adj-target-enclosed asks; v
+prec z for each of u's, which adj-extends-upward asks; and no pair enters
+v, so the checks of the other elements do not change.  The graph gains just
+the edge vu.  In frames, v is a small frame straddling the right side of
+u's, inside every frame that holds u's: the generator's probe move, without
+asking that u be exposed.  So peeling changes no verdict, only the witness,
+and the dynamic program, about cubic in the core on a failing search, never
+sees the tree-like fringe.
 
 The decision procedure is a dynamic program over two kinds of subproblems,
 both parameterized by a "blocked" vertex set X that is either empty or the
@@ -80,7 +80,8 @@ vacuously and is skipped.
 The memo keeps each subproblem's plan: for unrooted(S) the chosen root and
 its components, for rooted(r, S) the inner, outer and pendant parts and the
 nesting order of the inner parts, each followed by N[S]; a failed or
-refuted subproblem is kept as None.  The witness is built once at the end
+refuted subproblem is kept as None.  The nesting order reads each inner
+part's N(C) off that part's own plan.  The witness is built once at the end
 from the plans of the solved tree, N[S] included.  Subproblems are solved
 on demand, in the order the recursive definition visits them: each one is
 a generator that yields the subproblems it needs and receives their plans,
@@ -97,7 +98,7 @@ from dataclasses import dataclass
 
 from .core import BurlingSet
 from .errors import ContractError, InputError
-from .graph import Graph, components, is_triangle_free, neighborhood, nesting_order
+from .graph import Graph, _nesting, components, is_triangle_free, neighborhood
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,13 @@ def _lowest(m: int) -> int:
 
 
 class _Recognizer:
-    """The dynamic program on one connected component of a graph: its masks
-    and its plan memo.
+    """The dynamic program on one connected component of a graph's 2-core,
+    or of the graph: its masks and its plan memo.
 
     The component's vertices, names[0] < names[1] < ..., are numbered 0, 1,
-    ... in the masks, so masks are as wide as the component and every order
+    ... in the masks, and each vertex's adjacency mask keeps only its
+    neighbors among them, so the masks are the component's own graph, as
+    wide as the component, and the graph itself is not kept.  Every order
     the program follows is the order of the names, except the order in
     which roots are tried: turn[v] sorts v by degree, highest first, then
     by name (see the module docstring).  plans maps (None, S) to an
@@ -153,11 +156,10 @@ class _Recognizer:
     """
 
     def __init__(self, g: Graph, names: tuple):
-        self.g = g
         self.names = names
-        self.bit = [1 << i for i in range(len(names))]
+        self.bit = bit = [1 << i for i in range(len(names))]
         number = {v: i for i, v in enumerate(names)}
-        self.adj = [sum(self.bit[number[w]] for w in g.adj[v]) for v in names]
+        self.adj = [sum(bit[number[w]] for w in g.adj[v] if w in number) for v in names]
         n = len(names)
         self.turn = [i - n * a.bit_count() for i, a in enumerate(self.adj)]
         self.plans = {}
@@ -410,8 +412,9 @@ class _Recognizer:
         )
         if pendant is None:
             return None
-        name = self.names
-        order = nesting_order(self.g, [[name[v] for v in _members(c)] for c in inner_parts])
+        # each inner part's own plan holds its N[C]
+        nbs = [self.plans[None, c][-1] & ~c for c in inner_parts]
+        order = _nesting(self.adj, inner_parts, nbs)
         if order is None:
             return None
         return tuple(inner_parts), tuple(outer), tuple(pendant), order, nclosed
@@ -495,10 +498,11 @@ def recognize(g: Graph) -> "BurlingSet | None":
 
 
 def _peel(g: Graph):
-    """(peeled, core, kept): g's vertices of degree at most one, peeled one
-    at a time until none is left, as (v, u) pairs in peeling order, u being
-    v's one neighbor left when v went, or None; the 2-core, as a graph on
-    g's vertices with only the core's edges; and the core's vertices."""
+    """(peeled, kept): g's vertices of degree at most one, peeled one at a
+    time until none is left, as (v, u) pairs in peeling order, u being v's
+    one neighbor left when v went, or None; and the vertices of the 2-core,
+    ascending.  No graph is built: each core component's recognizer keeps
+    only the component's edges."""
     deg = [len(a) for a in g.adj]
     gone = bytearray(g.n)
     stack = [v for v in range(g.n) if deg[v] <= 1]
@@ -512,21 +516,22 @@ def _peel(g: Graph):
             deg[u] -= 1
             if deg[u] == 1:
                 stack.append(u)
-    core = Graph(g.n, [(a, b) for a, b in g.edges if not gone[a] and not gone[b]])
-    return peeled, core, [v for v in range(g.n) if not gone[v]]
+    return peeled, [v for v in range(g.n) if not gone[v]]
 
 
 def recognize_with_stats(g: Graph):
     """(recognize(g), RecognitionStats): unrooted(C) for each component C
     of g's 2-core in turn, stopping at the first that has no solution; the
-    witness is built only once every component is solved."""
+    witness is built only once every component is solved.  The triangle
+    check runs on g itself: peeling never removes a vertex of a triangle,
+    which keeps two neighbors in it."""
     unrooted = rooted = 0
     witness = None
-    peeled, core, kept = _peel(g)
-    if g.n and is_triangle_free(core):
+    peeled, kept = _peel(g)
+    if g.n and is_triangle_free(g):
         solved = []
-        for names in components(core, kept):
-            rec = _Recognizer(core, names)
+        for names in components(g, kept):
+            rec = _Recognizer(g, names)
             key = (None, (1 << len(names)) - 1)
             ok = rec.solve(key) is not None
             u = sum(1 for r, _ in rec.plans if r is None)

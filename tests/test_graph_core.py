@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from burling import Graph, components, is_triangle_free, neighborhood, nesting_order
@@ -92,3 +94,73 @@ def test_nesting_order_overlap_rejected():
     g = _p4()
     with pytest.raises(InputError):
         nesting_order(g, [[0, 1], [1, 2]])
+
+
+def test_bools_are_not_vertices():
+    # bool is an int subclass; as a vertex it would stand for 0 or 1
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="vertex True"):
+        components(g, [True, 2])
+    with pytest.raises(InputError, match="vertex True"):
+        neighborhood(g, [True])
+    with pytest.raises(InputError, match="vertex False"):
+        nesting_order(g, [[False], [2]])
+
+
+def _set_nesting_order(g, family):
+    """nesting_order as it was written on frozensets, kept as the reference
+    for the mask version: N(C) as a set, homogeneity vertex by vertex, ties
+    by (neighborhood size, index)."""
+
+    def homogeneous(s_prime, s):
+        return all(not (s_prime & g.adj[x]) or s_prime & g.adj[x] == s_prime for x in s)
+
+    sets = [frozenset(c) for c in family]
+    nbs = [frozenset().union(*(g.adj[v] for v in c)) - c for c in sets]
+    order = set()
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if not (nbs[i] & nbs[j]):
+                continue
+            fwd = nbs[i] <= nbs[j] and homogeneous(nbs[i], sets[j])
+            bwd = nbs[j] <= nbs[i] and homogeneous(nbs[j], sets[i])
+            if not fwd and not bwd:
+                return None
+            if fwd and bwd:
+                order.add((i, j) if (len(nbs[i]), i) < (len(nbs[j]), j) else (j, i))
+            else:
+                order.add((i, j) if fwd else (j, i))
+    return frozenset(order)
+
+
+def _triangle_free(n, tries, rng):
+    adj = [set() for _ in range(n)]
+    edges = []
+    for _ in range(tries):
+        u, v = rng.sample(range(n), 2)
+        if v not in adj[u] and not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
+def test_nesting_order_matches_the_set_version():
+    # families: the components of G - N[v], as the recognizer meets them,
+    # in both orders
+    rng = random.Random(20)
+    nested = rejected = ties = 0
+    for _ in range(150):
+        g = _triangle_free(rng.randrange(4, 16), rng.randrange(4, 40), rng)
+        for v in range(g.n):
+            family = components(g, set(range(g.n)) - set(neighborhood(g, [v])) - {v})
+            for fam in (family, family[::-1]):
+                expected = _set_nesting_order(g, fam)
+                assert nesting_order(g, fam) == expected
+            nbs = [neighborhood(g, c) for c in family]
+            nested += expected is not None
+            rejected += expected is None
+            ties += expected is not None and any(
+                a == b and a for i, a in enumerate(nbs) for b in nbs[i + 1 :]
+            )
+    assert min(nested, rejected, ties) > 20, (nested, rejected, ties)

@@ -22,7 +22,7 @@ from burling import (
     recognize_with_stats,
     verify_axioms,
 )
-from burling import recognition
+from burling import graph, recognition
 from burling.recognition import subproblem_structure
 
 REJECT_POOL = json.loads(
@@ -241,6 +241,30 @@ def test_peeling_keeps_the_whole_graph_verdict():
     assert verdicts[120:] == [(False, False)] * len(REJECT_POOL)
 
 
+def test_recognize_builds_no_graph_and_no_public_nesting_order(monkeypatch):
+    # The recognizer's masks are its one copy of the core, and it nests
+    # inner parts by the N[S] their plans keep, not by the checked public
+    # nesting_order.
+    graphs = _accept_graphs() + _reject_graphs()
+    calls = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("Graph")
+        init(self, *args, **kwargs)
+
+    def counting_nesting_order(*args):
+        calls.append("nesting_order")
+        return nesting_order(*args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(graph, "nesting_order", counting_nesting_order)
+    monkeypatch.setattr(recognition, "nesting_order", counting_nesting_order, raising=False)
+    verdicts = [recognize(g) is not None for g in graphs]
+    assert verdicts == [True] * 120 + [False] * len(REJECT_POOL)
+    assert calls == []
+
+
 def _components(adj, s):
     """The components of the graph on s with adjacency masks adj, ordered
     by smallest vertex, each with its vertices' neighborhoods' union."""
@@ -262,7 +286,12 @@ def _components(adj, s):
 class _Recursive(recognition._Recognizer):
     """The dynamic program with no shape checks: every rooted subproblem
     demands its children until one fails, and no child is checked before
-    it is demanded."""
+    it is demanded.  Its inner parts are nested by the public
+    nesting_order on core, the graph of the component's own edges."""
+
+    def __init__(self, core, names):
+        super().__init__(core, names)
+        self.core = core
 
     def _refuted(self, key):
         self.shapes[key] = None  # no shape: _rooted derives its own
@@ -300,7 +329,7 @@ class _Recursive(recognition._Recognizer):
             if not recognition._inside_one(t, [c | bit[q] for c, q in outer]):
                 return None
         name = self.names
-        order = nesting_order(self.g, [[name[v] for v in recognition._members(c)] for c in inner])
+        order = nesting_order(self.core, [[name[v] for v in recognition._members(c)] for c in inner])
         if order is None:
             return None
         return tuple(inner), tuple(outer), tuple(pendant), order, nclosed
@@ -316,14 +345,16 @@ def test_shape_refutations_hold_under_the_recursive_program(monkeypatch):
     class Recording(recognition._Recognizer):
         def __init__(self, g, names):
             super().__init__(g, names)
-            made.append(self)
+            made.append((self, g))
 
     monkeypatch.setattr(recognition, "_Recognizer", Recording)
     for g in _accept_graphs() + _reject_graphs():
         recognize(g)
     checked = explored = 0
-    for rec in made:
-        full = _Recursive(rec.g, rec.names)
+    for rec, g in made:
+        inside = set(rec.names)
+        core = Graph(g.n, [e for e in g.edges if inside.issuperset(e)])
+        full = _Recursive(core, rec.names)
         for key, plan in rec.plans.items():
             assert full.solve(key) == plan
         checked += len(rec.plans)
