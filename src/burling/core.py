@@ -30,7 +30,7 @@ targets, whose targets would all be p's, fewer than x's.  So no pair (x, y)
 with x settled can break irreflexivity or transitivity, and prec-out-chain
 holds at x.  On a valid set every element is settled, its targets being its
 cover p and p's targets, the pairwise checks walk no pair, and _forest
-sorts the covers instead of the closure.
+orders the set by its covers.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -130,17 +130,23 @@ class BurlingSet:
         """(topo, parent, up): the smallest-id-first topological order of
         prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
         element's parent is its first out-target in topo, None at a root.
-        Both relations must be chordal, and x must hold up[x]'s prec-targets,
-        as the axioms make them: then every out-target of x is its ancestor
-        in the first forest, and prec is the ancestor relation of the
-        second, its cover forest.
 
-        When every element is settled, up is its cover and topo is Kahn's
-        sort over covers and adj pairs, whose ready elements depend only on
-        reachability.  x's parent y is the first of its adj-targets and
-        cover, and the relation is chordal at x when y holds the others as
-        prec-targets, as the axioms make it.  Otherwise, or on a cycle, the
-        forests are built on prec's closure, which raises the ContractError."""
+        Built from the covers, when every element is settled: x's targets
+        are then its cover c and c's targets, so up is the cover map, and
+        topo is Kahn's sort over the covers and adj pairs, whose ready
+        elements depend only on reachability.  x's parent y is the first of
+        c and x's adj-targets; when y has the others as prec-targets it has
+        all of x's targets but itself, a settled y's targets being closed
+        under prec, so by induction from the end of topo they are x's
+        ancestors in the first forest.
+
+        Every set that verify_axioms accepts passes.  Its elements are all
+        settled, and prec ∪ adj is acyclic (see the module docstring), so
+        the covers and adj pairs are too.  x's cover and adj-targets form a
+        prec-chain, by adj-out-chain and adj-target-enclosed, and c is none
+        of x's adj-targets, being no prec-target of itself; so their first
+        in topo is their least.  Any other set may raise a ContractError
+        quoting its report's first line, the report computed only then."""
         out_prec, out_adj = self._prec_maps[0], self._adj_maps[0]
         cover = self._cover
         if len(cover) == len(self._order):
@@ -153,16 +159,7 @@ class BurlingSet:
                 for x, ts in succ.items()
             ):
                 return topo, parent, cover
-        out = {x: out_prec[x] | out_adj[x] for x in self._order}
-        topo = _topo_sort(self._order, out)
-        if topo is None:
-            raise ContractError("combined relation has a cycle")
-        parent = _chordal_forest(topo, out)
-        up = _chordal_forest(topo, out_prec)
-        for x, p in up.items():
-            if p is not None and not out_prec[p] <= out_prec[x]:
-                raise ContractError(f"prec-targets of {p!r} are not prec-targets of {x!r}")
-        return topo, parent, up
+        raise ContractError("not a Burling set: " + verify_axioms(self).lines()[0])
 
 
 def _maps(elements, pairs) -> tuple:

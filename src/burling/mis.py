@@ -36,10 +36,10 @@ element's residual is settled by its in-neighbours, its choice by its
 out-targets, and every topological order handles those first), so the
 results are those of the greedy run on each cone's full sub-relation.
 
-solve_indep checks weights once, and chordality and the cover forest once
-per set, by reading b._forest as chordal_relation does; it does not call
-mwis_chordal, which keeps every check for relations from outside and runs
-the same check and greedy, the latter with no forest.
+solve_indep checks weights once, and the relation once per set, by reading
+b._forest as chordal_relation does; it does not call mwis_chordal, which
+checks a relation from outside by its own sort and chordality check and
+runs the same greedy with no forest.
 
 Weights are nonnegative integers.
 """

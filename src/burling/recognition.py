@@ -469,7 +469,7 @@ def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     if len(comps) != 1:
         raise InputError("s must be a non-empty connected vertex set")
     s = set(comps[0])
-    if root is not None and root not in neighborhood(g, s):
+    if root is not None and (type(root) is not int or root not in neighborhood(g, s)):
         raise InputError(f"root {root!r} is not a neighbor of s outside it")
     names = next(c for c in components(g, range(g.n)) if s <= set(c))
     rec = _Recognizer(g, names)

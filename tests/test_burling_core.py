@@ -283,8 +283,9 @@ def test_settled_elements_keep_every_report():
 
 
 def _closure_forest(b):
-    """_forest as built on prec's closure: Kahn's sort over prec ∪ adj, then
-    each relation's chordality check and the cover forest check."""
+    """The reference for _forest, built on prec's closure: Kahn's sort over
+    prec ∪ adj, then each relation's chordality check and the cover forest
+    check."""
     out_prec, out_adj = b._prec_maps[0], b._adj_maps[0]
     out = {x: out_prec[x] | out_adj[x] for x in b._order}
     topo = _topo_sort(b._order, out)
@@ -325,9 +326,12 @@ def _forest_or_error(forest, b):
 
 
 def test_forest_matches_the_closure_reference():
-    # The cover path must give the same (topo, parent, up), and where it
-    # cannot vouch for a set, the same ContractError.
+    # Where _forest orders a set, it gives the closure's (topo, parent, up),
+    # and it orders every set that verify_axioms accepts.  Where it cannot,
+    # the set is refused and the ContractError quotes the report's first
+    # line; the closure orders 116 of these refused sets.
     verdicts = {True: 0, False: 0}
+    refused_orderable = 0
     cases = itertools.chain(
         _benchmark_shaped("frames"),
         _benchmark_shaped("indep"),
@@ -335,10 +339,16 @@ def test_forest_matches_the_closure_reference():
     )
     for b in cases:
         expected = _forest_or_error(_closure_forest, b)
-        fresh = BurlingSet(b.elements, b.prec, b.adj)
-        assert _forest_or_error(lambda b: b._forest, fresh) == expected
-        verdicts[not isinstance(expected, str)] += 1
+        got = _forest_or_error(lambda b: b._forest, BurlingSet(b.elements, b.prec, b.adj))
+        if isinstance(got, str):
+            report = verify_axioms(b)
+            assert not report.ok and got == "not a Burling set: " + report.lines()[0], b
+            refused_orderable += not isinstance(expected, str)
+        else:
+            assert got == expected, b
+        verdicts[not isinstance(got, str)] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+    assert refused_orderable == 116
 
 
 def test_forest_sorts_covers_and_adj_pairs(monkeypatch):

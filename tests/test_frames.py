@@ -469,23 +469,24 @@ def test_vertical_multi_parent_is_contract_error():
 def test_vertical_targets_not_a_chain_is_contract_error():
     # Not a valid set: element 5's targets are 1, 2 and 3, and 2 lies directly
     # below the other two, but no pair relates 1 and 3: no chain.  The
-    # chordality check names the first element in topological order with an
-    # unrelated pair of targets, 2, whose targets 0, 1 and 3 hold that pair.
+    # relation index cannot order it and quotes the first violation
+    # verify_axioms reports: 1 crosses out of 0, which lies inside 3, and 1
+    # is neither adj nor prec to 3.
     bad = BurlingSet(
         range(6),
         prec=[(0, 3), (2, 0), (2, 3), (5, 1)],
         adj=[(1, 0), (2, 1), (5, 2), (5, 3)],
     )
-    with pytest.raises(ContractError, match="out-targets 1, 3 of 2 are unrelated"):
+    with pytest.raises(ContractError, match="^not a Burling set: adj-extends-upward: 1, 0, 3$"):
         vertical_order(bad)
 
 
 def test_linear_mode_unordered_targets_is_contract_error():
     # Not a valid set: y and z are adj-targets of x with no pair between
-    # them, so the combined relation is not chordal, which the relation
-    # index reports.
+    # them, so the combined relation is not chordal, and the relation index
+    # quotes the violation verify_axioms reports.
     bad = BurlingSet("wxyz", adj=[("w", "x"), ("x", "y"), ("x", "z")])
-    with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x' are unrelated"):
+    with pytest.raises(ContractError, match="^not a Burling set: adj-out-chain: x, y, z$"):
         horizontal_constraints(bad)
 
 

@@ -121,3 +121,20 @@ def test_large_set_within_memory_and_time_budget(run_child):
     assert size == "1000"
     assert int(peak_kib) < 150 * 1024
     assert elapsed < 10.0
+
+
+_CAP_CHILD = """
+from burling import GeneratorConfig, gen_burling
+b = gen_burling(GeneratorConfig(seed=1, target_size=2000, probe_bias=0, join_mix=1))
+print(len(b.elements), len(b.prec), peak_kib())
+"""
+
+
+def test_largest_set_within_memory_and_time_budget(run_child):
+    # At the size cap, with every move an inner join, prec holds nearly
+    # n²/2 pairs: the largest set the generator can be asked for.  About
+    # 2.5 s and 320 MB on a 2-vCPU machine.
+    (size, pairs, peak_kib), elapsed = run_child(_CAP_CHILD)
+    assert (size, pairs) == ("2000", "1997001")
+    assert int(peak_kib) < 450 * 1024
+    assert elapsed < 10.0

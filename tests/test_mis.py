@@ -192,13 +192,13 @@ def test_solve_indep_matches_brute_force():
     ids=["targets-unrelated", "targets-related-by-adj"],
 )
 def test_solve_indep_rejects_prec_that_is_not_a_forest(b):
-    # prec is transitive, but y and z are incomparable prec-targets of x.
-    # Related by adj, they pass the chordality check of the combined
-    # relation and leave it to the cover forest's, which the relation index
-    # runs too.
-    with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x'"):
+    # prec is transitive, but y and z are incomparable prec-targets of x, so
+    # x is not settled and the relation index quotes the violation, also
+    # where adj relates y and z.
+    message = "^not a Burling set: prec-out-chain: x, y, z$"
+    with pytest.raises(ContractError, match=message):
         chordal_relation(b)
-    with pytest.raises(ContractError, match="out-targets 'y', 'z' of 'x'"):
+    with pytest.raises(ContractError, match=message):
         solve_indep(b, _unit("xyz"))
 
 

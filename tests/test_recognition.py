@@ -148,6 +148,7 @@ def test_unrooted_star():
 
 
 _P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+_C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 @pytest.mark.parametrize(
@@ -160,6 +161,8 @@ _P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         (_P4, 1, [1, 2], "not a neighbor"),  # the root inside s
         (_P4, 0, [2, 3], "not a neighbor"),  # the root away from s
         (_P4, 9, [2, 3], "not a neighbor"),
+        (_C4, True, [2], "not a neighbor"),  # equal to 1, a neighbor, but not an int
+        (_C4, 1.0, [2], "not a neighbor"),
     ],
 )
 def test_subproblem_structure_rejects_malformed_arguments(g, root, s, match):

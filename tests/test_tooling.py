@@ -40,6 +40,7 @@ from burling import (
     parse_weights,
     recognize,
     render_svg,
+    solve_indep,
     verify_axioms,
     verify_strict,
 )
@@ -83,6 +84,9 @@ def test_generator_config_validation():
     GeneratorConfig(seed=0, target_size=1)
     with pytest.raises(InputError):
         GeneratorConfig(seed=0, target_size=0)
+    GeneratorConfig(seed=0, target_size=2000)
+    with pytest.raises(InputError, match="between 1 and 2000"):
+        GeneratorConfig(seed=0, target_size=2001)
     with pytest.raises(InputError):
         GeneratorConfig(seed=0, target_size=3, probe_bias=-0.1)
     with pytest.raises(InputError):
@@ -287,8 +291,12 @@ def test_census_of_triangle_free_graphs_matches_the_oracle():
     # it.  The first non-Burling graphs appear at 7 vertices (Q3 minus a
     # vertex); 16 of the 8-vertex ones are not Burling graphs either, and 4
     # of those are vertex-minimal: deleting any one vertex leaves a Burling
-    # graph.  About 3 s on a 2-vCPU machine, 0.5 s of it the census itself.
+    # graph.  Both witnesses of each accepted graph, the exhaustive one built
+    # from the definitions alone, are ordered by the relation index, solved
+    # exactly under seeded weights and round-tripped through frames.  About
+    # 3 s on a 2-vCPU machine, 0.5 s of it the census itself.
     start = time.perf_counter()
+    rng = random.Random("census")
     census = _triangle_free_census(8)
     assert [len(graphs) for graphs in census[1:]] == [1, 2, 3, 7, 14, 38, 107, 410]
     rejected, minimal = [], []
@@ -304,8 +312,13 @@ def test_census_of_triangle_free_graphs_matches_the_oracle():
                 rejected[n] += 1
                 minimal[n] += all(recognize(_deleting(n, edges, x)) is not None for x in range(n))
                 continue
+            weights = [rng.randrange(10) for _ in range(n)]
+            best = brute_force_mwis(g, dict(enumerate(weights)))[1]
             for b in (fast, slow):
                 assert verify_axioms(b).ok and induced_graph(b).adj == g.adj
+                names = dict(zip(b.ordered(), weights))
+                assert solve_indep(b, names)[1] == best, nbrs
+                assert extract_burling(build_frames(b)) == b, nbrs
     assert rejected == [0] * 7 + [1, 16]
     assert minimal == [0] * 7 + [1, 4]
     assert time.perf_counter() - start < 30.0
