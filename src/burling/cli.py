@@ -94,6 +94,10 @@ def cmd_verify_frames(args) -> int:
     try:
         family = FrameFamily(Frame(*rec) for rec in records)
     except InputError as e:
+        # a coordinate that is not an integer is an input error, not a
+        # failed verification
+        if not all(type(v) is int for rec in records for v in rec[1:]):
+            raise
         print(str(e))
         return 1
     return _print_report(verify_strict(family))

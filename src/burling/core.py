@@ -32,6 +32,14 @@ holds at x.  On a valid set every element is settled, its targets being its
 cover p and p's targets, the pairwise checks walk no pair, and _forest
 orders the set by its covers.
 
+A set holds prec in one of two ways.  BurlingSet(...) keeps the pairs it is
+given, so that verify_axioms can report whatever is wrong with them.  The
+library's own constructions, gen_burling and extract_burling, build their
+sets from prec's cover forest, each element's cover or None, and adj: such
+a set builds its prec frozenset, the forest's ancestor relation, only when
+prec is first read, and compares with another set held by covers by its
+elements, adj and covers alone.
+
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
 can keep growing:
@@ -59,12 +67,14 @@ class BurlingSet:
     Construction validates shape only (pairs reference declared elements,
     elements non-empty and mutually comparable); whether the axioms hold is
     the job of verify_axioms.  Element ids may be any sortable hashable
-    values; integers internally, strings at file boundaries.
+    values; integers internally, strings at file boundaries.  A set is held
+    by its pairs or by its covers (see the module docstring); two sets are
+    equal when their elements, prec and adj are.
     """
 
     elements: frozenset
-    prec: frozenset
     adj: frozenset
+    _by_covers = False
 
     def __init__(self, elements, prec=(), adj=()):
         elements = frozenset(elements)
@@ -81,14 +91,73 @@ class BurlingSet:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_order", order)
 
+    @classmethod
+    def _from_covers(cls, order, cover, adj) -> BurlingSet:
+        """The set held by its covers: the elements of order, which lists
+        them in ascending order; prec, the ancestor relation of the forest
+        cover, x -> x's cover or None for every element; and the pairs adj.
+        Nothing is checked, so only the library's own constructions call
+        it."""
+        b = cls.__new__(cls)
+        vars(b).update(
+            elements=frozenset(order), adj=frozenset(adj), _order=tuple(order),
+            _cover=cover, _by_covers=True,
+        )
+        return b
+
     def ordered(self) -> list:
         """Element ids sorted ascending; the canonical iteration order."""
         return list(self._order)
 
+    @cached_property
+    def prec(self) -> frozenset:
+        """The prec pairs; a set held by its pairs sets them at construction,
+        one held by its covers builds them here, on first read."""
+        above = {}
+        for x, c in self._down_covers():
+            above[x] = () if c is None else (c, *above[c])
+        return frozenset((x, y) for x, ys in above.items() for y in ys)
+
+    def _down_covers(self) -> list:
+        """(x, x's cover) for every element of a set held by its covers,
+        each after its cover.  Raises ContractError if the covers form a
+        cycle."""
+        cover = self._cover
+        down, placed = [], set()
+        for x in self._order:
+            path = []  # x and its covers up to the first one placed
+            while x is not None and x not in placed:
+                if len(path) == len(cover):
+                    raise ContractError("the covers form a cycle")
+                path.append(x)
+                x = cover[x]
+            placed.update(path)
+            down.extend((y, cover[y]) for y in reversed(path))
+        return down
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.elements != other.elements or self.adj != other.adj:
+            return False
+        if self._by_covers and other._by_covers:
+            return self._cover == other._cover
+        return self.prec == other.prec
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.adj))
+
     def __repr__(self) -> str:
+        if self._by_covers:
+            depth = {}
+            for x, c in self._down_covers():
+                depth[x] = 0 if c is None else depth[c] + 1
+            pairs = sum(depth.values())
+        else:
+            pairs = len(self.prec)
         return (
             f"BurlingSet({len(self.elements)} elements, "
-            f"{len(self.prec)} prec, {len(self.adj)} adj)"
+            f"{pairs} prec, {len(self.adj)} adj)"
         )
 
     # The relation index: _order, the sorted elements, which the constructor
@@ -111,7 +180,8 @@ class BurlingSet:
     def _cover(self) -> dict:
         """x -> the cover of x, or None when x has no prec-target, for each
         settled x (see the module docstring); other elements are absent.
-        The cover is x's prec-target with the most targets."""
+        The cover is x's prec-target with the most targets.  A set held by
+        its covers is given this map at construction."""
         out_prec = self._prec_maps[0]
         size = {x: len(out_prec[x]) for x in self._order}
         cover = {}

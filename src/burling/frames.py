@@ -222,20 +222,18 @@ def verify_strict(family: FrameFamily) -> VerificationReport:
 
 def extract_burling(family: FrameFamily) -> BurlingSet:
     """The Burling set realized by a strict family: nesting gives prec,
-    crossing gives adj, prec read up the sweep's covers.  Strict families
-    and Burling sets describe the same graphs, so the result is not
-    verified again."""
+    crossing gives adj, and the set is held by the sweep's covers (see
+    core).  Strict families and Burling sets describe the same graphs, so
+    the result is not verified again."""
     fs = family.frames
     report, crossings, covers, _ = family._swept()
     if not report.ok:
         raise InputError(f"family is not strict: {report.lines()[0]}")
     if not fs:
         raise InputError("cannot extract from an empty family")
-    above = {}  # id -> its prec-targets; a cover comes before what it holds
-    for f, c in covers:
-        above[f] = (c, *above.get(c, ()))
-    prec = [(f, c) for f, cs in above.items() for c in cs]
-    return BurlingSet([f.id for f in fs], prec, [(g, f) for f, g in crossings])
+    cover = dict.fromkeys(f.id for f in fs)
+    cover.update(covers)
+    return BurlingSet._from_covers(list(cover), cover, [(g, f) for f, g in crossings])
 
 
 def intersection_graph(family: FrameFamily) -> Graph:

@@ -143,7 +143,8 @@ def dump_burling_json(b: BurlingSet) -> str:
 
 def frame_records(text: str) -> list:
     """Structural parse of frames JSON into (id, l, r, b, t) tuples.
-    Geometric validity is left to the Frame constructor."""
+    Coordinate types and geometric validity are left to the Frame
+    constructor."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -157,13 +158,9 @@ def frame_records(text: str) -> list:
         missing = {"id", "l", "r", "b", "t"} - set(entry)
         if missing:
             raise InputError(f"frame entry missing keys {sorted(missing)}")
-        coords = []
-        for key in ("l", "r", "b", "t"):
-            v = entry[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"frame coordinate {key}={v!r} must be an integer")
-            coords.append(v)
-        records.append((_element_name(entry["id"]),) + tuple(coords))
+        records.append(
+            (_element_name(entry["id"]), entry["l"], entry["r"], entry["b"], entry["t"])
+        )
     return records
 
 

@@ -373,6 +373,17 @@ def test_forest_sorts_covers_and_adj_pairs(monkeypatch):
         assert sum(len(b.prec) + len(b.adj) for b in sets) == closure
 
 
+def test_cyclic_covers_raise():
+    # a set held by covers is built only by the library; covers that form a
+    # cycle are refused when prec is first read, not walked forever
+    for cover in ({0: 0}, {0: 1, 1: 0}, {0: 1, 1: 2, 2: 1, 3: None}):
+        b = BurlingSet._from_covers(sorted(cover), cover, ())
+        with pytest.raises(ContractError, match="the covers form a cycle"):
+            b.prec
+        with pytest.raises(ContractError, match="the covers form a cycle"):
+            verify_axioms(b)
+
+
 def test_report_lines_name_witnesses():
     rep = verify_axioms(BurlingSet("ab", adj=[("a", "b"), ("b", "a")]))
     assert not rep.ok

@@ -11,7 +11,9 @@ import pytest
 from burling import (
     BurlingSet,
     GeneratorConfig,
+    build_frames,
     dump_burling_json,
+    extract_burling,
     gen_burling,
     inner_join,
     outer_join,
@@ -79,11 +81,53 @@ def test_matches_the_join_reference(probe_bias, join_mix):
         assert b == _join_reference(cfg), cfg
 
 
+def _one_cover_changed(b: BurlingSet) -> BurlingSet:
+    """b, held by its covers, with the first cover dropped, or with its
+    first element put under its second when it has no cover."""
+    cover = dict(b._cover)
+    x = next((x for x, c in cover.items() if c is not None), None)
+    if x is not None:
+        cover[x] = None
+    else:
+        cover[b._order[0]] = b._order[1]
+    return BurlingSet._from_covers(b._order, cover, b.adj)
+
+
+@pytest.mark.parametrize("probe_bias, join_mix", _SETTINGS)
+def test_sets_held_by_covers_match_their_pairs(probe_bias, join_mix):
+    # The generator and extract_burling hold prec by its covers.  Such a set
+    # behaves as the set built from its pairs, and two of them compare by
+    # their covers, with no closure built.  build_frames reads its input's
+    # closure, so the round trip starts from a second generated set.
+    for seed, size in itertools.product(range(8), (1, 2, 5, 24, 48, 112)):
+        cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
+        b = gen_burling(cfg)
+        e = extract_burling(build_frames(gen_burling(cfg)))
+        held = (b, e)
+        assert b == e and e == b, cfg
+        texts = [repr(h) for h in held]
+        changed = _one_cover_changed(b) if size > 1 else None
+        if changed is not None:
+            assert b != changed and changed != e, cfg
+        assert not any("prec" in vars(h) for h in (*held, changed) if h is not None), cfg
+        for h, text in zip(held, texts):
+            ref = BurlingSet(h.elements, h.prec, h.adj)
+            assert h == ref and ref == h, cfg
+            assert (hash(h), text) == (hash(ref), repr(ref)), cfg
+            assert dump_burling_json(h) == dump_burling_json(ref), cfg
+            assert verify_axioms(h) == verify_axioms(ref), cfg
+            if changed is not None:
+                assert ref != changed and changed != ref, cfg
+
+
 def test_builds_one_set_per_call(monkeypatch):
-    # no per-step rebuild: each join would build a set of its own
+    # no per-step rebuild: each join would build a set of its own.  Both
+    # constructors are counted: the generator's set is held by its covers,
+    # built by BurlingSet._from_covers, which bypasses __init__
     calls = []
-    init = BurlingSet.__init__
+    init, from_covers = BurlingSet.__init__, BurlingSet._from_covers
     monkeypatch.setattr(BurlingSet, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    monkeypatch.setattr(BurlingSet, "_from_covers", lambda *a: calls.append(a) or from_covers(*a))
     gen_burling(GeneratorConfig(seed=3, target_size=60))
     assert len(calls) == 1
 
@@ -126,15 +170,19 @@ def test_large_set_within_memory_and_time_budget(run_child):
 _CAP_CHILD = """
 from burling import GeneratorConfig, gen_burling
 b = gen_burling(GeneratorConfig(seed=1, target_size=2000, probe_bias=0, join_mix=1))
-print(len(b.elements), len(b.prec), peak_kib())
+generated_kib = peak_kib()
+print(len(b.elements), generated_kib, len(b.prec), peak_kib())
 """
 
 
 def test_largest_set_within_memory_and_time_budget(run_child):
     # At the size cap, with every move an inner join, prec holds nearly
-    # n²/2 pairs: the largest set the generator can be asked for.  About
-    # 2.5 s and 320 MB on a 2-vCPU machine.
-    (size, pairs, peak_kib), elapsed = run_child(_CAP_CHILD)
+    # n²/2 pairs: the largest set the generator can be asked for.  The set
+    # is held by its covers, and its prec is built when first read.  On a
+    # 2-vCPU machine, about 17 MB at the first peak_kib(), and 1.1 s and
+    # 220 MB in all.
+    (size, generated_kib, pairs, peak_kib), elapsed = run_child(_CAP_CHILD)
     assert (size, pairs) == ("2000", "1997001")
+    assert int(generated_kib) < 50 * 1024
     assert int(peak_kib) < 450 * 1024
     assert elapsed < 10.0

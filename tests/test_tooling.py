@@ -689,6 +689,15 @@ def test_cli_verify_frames(tmp_path, capsys):
     shape = _write(tmp_path, "shape.json", "[[0, 1, 2]]")
     assert main(["verify", "frames", shape]) == 2
 
+    # Frame checks the coordinates' types and order; only a type is an
+    # input error
+    flipped = _write(tmp_path, "flipped.json", json.dumps([_frame_obj(0, 4, 0, 0, 4)]))
+    assert main(["verify", "frames", flipped]) == 1
+    for t in (4.5, True, "4"):
+        typed = _write(tmp_path, "typed.json", json.dumps([_frame_obj(0, 0, 4, 0, t)]))
+        assert main(["verify", "frames", typed]) == 2
+    capsys.readouterr()
+
 
 def test_cli_gen(tmp_path, capsys):
     assert main(["gen", "--n", "9", "--seed", "3"]) == 0
