@@ -33,12 +33,12 @@ cover p and p's targets, the pairwise checks walk no pair, and _forest
 orders the set by its covers.
 
 A set holds prec in one of two ways.  BurlingSet(...) keeps the pairs it is
-given, so that verify_axioms can report whatever is wrong with them.  The
-library's own constructions, gen_burling and extract_burling, build their
-sets from prec's cover forest, each element's cover or None, and adj: such
-a set builds its prec frozenset, the forest's ancestor relation, only when
-prec is first read, and compares with another set held by covers by its
-elements, adj and covers alone.
+given, so that verify_axioms can report whatever is wrong with them.
+gen_burling and extract_burling hold prec by its cover forest, each
+element's cover or None, and compare two such sets by covers and adj.  The
+index walks the forest by DFS spans (_dfs); prec's closure, built on first
+read, is read only by _cover on sets given as pairs, verify_axioms,
+dump_burling_json, chordal_relation, classify_elements, restrict, the joins.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -52,6 +52,7 @@ can keep growing:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -114,26 +115,10 @@ class BurlingSet:
         """The prec pairs; a set held by its pairs sets them at construction,
         one held by its covers builds them here, on first read."""
         above = {}
-        for x, c in self._down_covers():
+        for x in self._spans:
+            c = self._cover[x]
             above[x] = () if c is None else (c, *above[c])
         return frozenset((x, y) for x, ys in above.items() for y in ys)
-
-    def _down_covers(self) -> list:
-        """(x, x's cover) for every element of a set held by its covers,
-        each after its cover.  Raises ContractError if the covers form a
-        cycle."""
-        cover = self._cover
-        down, placed = [], set()
-        for x in self._order:
-            path = []  # x and its covers up to the first one placed
-            while x is not None and x not in placed:
-                if len(path) == len(cover):
-                    raise ContractError("the covers form a cycle")
-                path.append(x)
-                x = cover[x]
-            placed.update(path)
-            down.extend((y, cover[y]) for y in reversed(path))
-        return down
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -149,10 +134,7 @@ class BurlingSet:
 
     def __repr__(self) -> str:
         if self._by_covers:
-            depth = {}
-            for x, c in self._down_covers():
-                depth[x] = 0 if c is None else depth[c] + 1
-            pairs = sum(depth.values())
+            pairs = sum((leave - enter - 1) // 2 for enter, leave in self._spans.values())
         else:
             pairs = len(self.prec)
         return (
@@ -163,17 +145,17 @@ class BurlingSet:
     # The relation index: _order, the sorted elements, which the constructor
     # sets since sorting them is its check that ids compare, and structures
     # derived from the relations, each built on first use and kept for the
-    # life of the immutable set.  Maps come in (out, in) pairs,
-    # x -> {y : x R y} and y -> {x : x R y}, for R = prec and adj; callers
-    # must not modify the sets.  Only _forest assumes the axioms'
-    # consequences, and raises ContractError where they fail.
+    # life of the immutable set.  The maps are out-maps, x -> {y : x R y}
+    # for R = prec and adj; callers must not modify the sets.  Only _forest
+    # assumes the axioms' consequences, and raises ContractError where they
+    # fail.
 
     @cached_property
-    def _prec_maps(self) -> tuple:
+    def _out_prec(self) -> dict:
         return _maps(self.elements, self.prec)
 
     @cached_property
-    def _adj_maps(self) -> tuple:
+    def _out_adj(self) -> dict:
         return _maps(self.elements, self.adj)
 
     @cached_property
@@ -182,7 +164,7 @@ class BurlingSet:
         settled x (see the module docstring); other elements are absent.
         The cover is x's prec-target with the most targets.  A set held by
         its covers is given this map at construction."""
-        out_prec = self._prec_maps[0]
+        out_prec = self._out_prec
         size = {x: len(out_prec[x]) for x in self._order}
         cover = {}
         for x in sorted(self._order, key=size.__getitem__):
@@ -196,6 +178,15 @@ class BurlingSet:
         return cover
 
     @cached_property
+    def _spans(self) -> dict:
+        """_dfs of the cover forest, for a set whose elements all have a
+        cover entry.  Raises ContractError if the covers form a cycle."""
+        spans = _dfs(self._order, self._cover)
+        if len(spans) < len(self._order):
+            raise ContractError("the covers form a cycle")
+        return spans
+
+    @cached_property
     def _forest(self) -> tuple:
         """(topo, parent, up): the smallest-id-first topological order of
         prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
@@ -205,10 +196,10 @@ class BurlingSet:
         are then its cover c and c's targets, so up is the cover map, and
         topo is Kahn's sort over the covers and adj pairs, whose ready
         elements depend only on reachability.  x's parent y is the first of
-        c and x's adj-targets; when y has the others as prec-targets it has
-        all of x's targets but itself, a settled y's targets being closed
-        under prec, so by induction from the end of topo they are x's
-        ancestors in the first forest.
+        c and x's adj-targets; when y has the others as prec-targets (each
+        one's span in _spans holds y's) it has all of x's targets but itself,
+        its targets being closed under prec, so by induction from the end of
+        topo they are x's ancestors in the first forest.
 
         Every set that verify_axioms accepts passes.  Its elements are all
         settled, and prec ∪ adj is acyclic (see the module docstring), so
@@ -217,28 +208,28 @@ class BurlingSet:
         of x's adj-targets, being no prec-target of itself; so their first
         in topo is their least.  Any other set may raise a ContractError
         quoting its report's first line, the report computed only then."""
-        out_prec, out_adj = self._prec_maps[0], self._adj_maps[0]
         cover = self._cover
         if len(cover) == len(self._order):
+            out_adj, span = self._out_adj, self._spans
             succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in cover.items()}
             topo = _topo_sort(self._order, succ) or ()
             pos = {x: i for i, x in enumerate(topo)}
             parent = {x: min(succ[x], key=pos.__getitem__, default=None) for x in topo}
             if topo and all(
-                len(ts) < 2 or len(out_prec[parent[x]].intersection(ts)) == len(ts) - 1
+                len(ts) < 2
+                or len({t for t in ts if span[t][0] < span[parent[x]][0] < span[t][1]})
+                == len(ts) - 1
                 for x, ts in succ.items()
             ):
                 return topo, parent, cover
         raise ContractError("not a Burling set: " + verify_axioms(self).lines()[0])
 
 
-def _maps(elements, pairs) -> tuple:
+def _maps(elements, pairs) -> dict:
     out = {x: set() for x in elements}
-    inc = {x: set() for x in elements}
     for x, y in pairs:
         out[x].add(y)
-        inc[y].add(x)
-    return out, inc
+    return out
 
 
 def _topo_sort(nodes, succ):
@@ -260,6 +251,31 @@ def _topo_sort(nodes, succ):
             if indeg[y] == 0:
                 heapq.heappush(heap, y)
     return tuple(order) if len(order) == len(indeg) else None
+
+
+def _dfs(order, up) -> dict:
+    """{x: (enter, leave)} on the forest x -> up[x], None at a root, keys in
+    preorder: roots and children are visited in order, and the clock ticks
+    once per step from 1, so descendants' spans nest inside their
+    ancestors' and the others' are disjoint.  Elements on or below a cycle
+    of up are left out."""
+    children = {x: [] for x in order}
+    for x in order:
+        if up[x] is not None:
+            children[up[x]].append(x)
+    stack = [(x, None) for x in reversed(order) if up[x] is None]
+    spans = {}
+    clock = 1
+    while stack:
+        x, enter = stack.pop()
+        if enter is None:
+            spans[x] = None  # a placeholder, so keys come in preorder
+            stack.append((x, clock))
+            stack.extend((c, None) for c in reversed(children[x]))
+        else:
+            spans[x] = (enter, clock)
+        clock += 1
+    return spans
 
 
 def _chordal_forest(topo, out) -> dict:
@@ -394,8 +410,7 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
     solved or framed builds them once.
     """
     elems = b._order
-    out_prec, in_prec = b._prec_maps
-    out_adj, _ = b._adj_maps
+    out_prec, out_adj = b._out_prec, b._out_adj
     prec = b.prec
     settled = b._cover
     pairs = sorted((x, y) for x in elems if x not in settled for y in out_prec[x])
@@ -418,7 +433,7 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
     if cyc is not None:
         viols.append(Violation("adj-acyclic", cyc))
 
-    in_count = {x: len(in_prec[x]) for x in elems}
+    in_count = Counter(y for _, y in prec)
     for x in elems:
         if len(out_prec[x]) > 1 and x not in settled:
             gap = _chain_gap(out_prec[x], prec, in_count)
@@ -537,7 +552,7 @@ def inner_join(b1: BurlingSet, b2: BurlingSet, s2_prime) -> BurlingSet:
     bad = sorted(q_set - p2)
     if bad:
         raise ContractError(f"shared elements must be probes of the second set: {bad!r}")
-    out_adj2, _ = _maps(b2.elements, b2.adj)
+    out_adj2 = _maps(b2.elements, b2.adj)
     for q in sorted(q_set):
         if frozenset(out_adj2[q]) != s2p:
             raise ContractError(

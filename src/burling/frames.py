@@ -13,10 +13,10 @@ build_frames realizes a Burling set as such a family with integer
 coordinates 1..2|S| per axis.  Horizontal coordinates come from a
 topological sort of a constraint system over the symbols l_x, r_x, stated
 on prec's cover forest and adj, of a size linear in |S| plus the covers
-and |adj|; vertical coordinates are DFS enter/exit times on the parent
-forest of the combined relation.  Both forests come from the set's
-relation index (see core.BurlingSet), and the horizontal system is sorted
-by the same smallest-first Kahn sort.
+and |adj|; vertical coordinates are enter/leave times of core._dfs, the
+index's one forest walk, on the forest of the combined relation.  Both
+forests come from the set's relation index (see core.BurlingSet), and the
+horizontal system is sorted by the same smallest-first Kahn sort.
 extract_burling inverts the construction for any strict family.  It,
 verify_strict and intersection_graph read one sweep in x over the frames,
 kept by the family, which compares only frames that overlap in x, checks
@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import BurlingSet, VerificationReport, Violation, _topo_sort
+from .core import BurlingSet, VerificationReport, Violation, _dfs, _topo_sort
 from .errors import ContractError, InputError
 from .graph import Graph
 
@@ -267,7 +267,7 @@ def horizontal_constraints(b: BurlingSet) -> list:
     idx = {x: i for i, x in enumerate(order)}
     topo, _, up = b._forest
     pos = {x: i for i, x in enumerate(topo)}
-    out_adj = b._adj_maps[0]
+    out_adj = b._out_adj
     # z -> the right symbol of z's last adj-target, for z with adj-targets
     escape = {z: 2 * idx[max(ts, key=pos.__getitem__)] + 1 for z, ts in out_adj.items() if ts}
     cons = set()
@@ -308,29 +308,11 @@ def vertical_order(b: BurlingSet) -> dict:
     Every non-root element has a unique parent: its parent in the forest of
     the combined relation (b._forest, see core.BurlingSet), the first of its
     targets in topological order, and every target is an ancestor.  Bottom
-    and top are DFS enter and exit times on that forest, visiting roots and
-    children in ascending element order, so related elements nest and
+    and top are its enter and leave times in core._dfs, which visits roots
+    and children in ascending element order, so related elements nest and
     unrelated ones get disjoint spans.
     """
-    order = b._order
-    _, parent, _ = b._forest
-    children = {x: [] for x in order}
-    for x in order:
-        if parent[x] is not None:
-            children[parent[x]].append(x)
-    # (element, enter time), the time None until the element is entered
-    stack = [(x, None) for x in reversed(order) if parent[x] is None]
-    vals = {}
-    clock = 1
-    while stack:
-        x, enter = stack.pop()
-        if enter is None:
-            stack.append((x, clock))
-            stack.extend((c, None) for c in reversed(children[x]))
-        else:
-            vals[x] = (enter, clock)
-        clock += 1
-    return vals
+    return _dfs(b._order, b._forest[1])
 
 
 def build_frames(b: BurlingSet, linear: bool = False) -> FrameFamily:

@@ -13,13 +13,13 @@ the whole relation combines the cones.  Elements of a selected cone are
 nested inside u, hence non-adjacent to everything the top solution keeps.
 
 By prec-out-chain every element's prec-targets form a chain, so prec is the
-ancestor relation of its cover forest and the cone of u is u's subtree
-minus u.  solve_indep works on that forest, which the set's relation index
-builds and checks once (b._forest, see core.BurlingSet):
+ancestor relation of its cover forest, and the cone of u, u's subtree minus
+u, is the slice after u of the forest's preorder (b._spans), with no in-map.
+solve_indep works on that forest, which the set's relation index builds and
+checks once (b._forest, see core.BurlingSet):
 
-  - one global order: the set's topological order, kept in the same index,
-    restricted to a cone is a topological order of the cone, so a cone's
-    members are only sorted by their positions in it;
+  - one global order: the index's topological order, restricted to a cone,
+    is one of the cone's, so a cone's slice is only sorted by position in it;
   - prec through the forest: in the greedy's first phase the deductions
     along prec reach an element as the sum of the residuals marked in its
     children's subtrees, passed up one parent at a time, and in the second
@@ -139,22 +139,23 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     """Maximum-weight independent set of the Burling graph of b.
 
     Returns (frozenset of elements, weight).  Bottom-up over prec-cones in
-    topological order: the cone of u lies before u, so each of its members
+    reverse preorder: the cone of u follows u there, so each of its members
     has its own cone solved already.
     """
     _check_weights(b._order, weights)
     topo, _, parent = b._forest
     pos = {x: i for i, x in enumerate(topo)}
-    _, in_prec = b._prec_maps
-    out_adj, _ = b._adj_maps
+    spans, out_adj = b._spans, b._out_adj
 
     inner = {}  # u -> elements chosen in the cone of u, their cones not expanded
     boosted = {}  # u -> weight of u plus the optimum inside its cone
-    for u in topo:
-        cone = in_prec[u]
+    pre = list(spans)
+    for i in reversed(range(len(pre))):
+        u = pre[i]
+        enter, leave = spans[u]
         total = 0
-        if cone:
-            order = sorted(cone, key=pos.__getitem__)
+        if leave - enter > 1:
+            order = sorted(pre[i + 1:i + 1 + (leave - enter - 1) // 2], key=pos.__getitem__)
             inner[u], total = _cone_greedy(order, parent, out_adj, boosted)
         boosted[u] = weights[u] + total
 

@@ -13,6 +13,7 @@ from burling import (
     BurlingSet,
     GeneratorConfig,
     Graph,
+    build_frames,
     classify_elements,
     gen_burling,
     induced_graph,
@@ -203,9 +204,11 @@ def _per_pair_report(b):
     transitivity checked on every prec pair, and prec-out-chain tested at
     every element."""
     elems = b._order
-    out_prec, in_prec = b._prec_maps
-    out_adj, _ = b._adj_maps
+    out_prec, out_adj = b._out_prec, b._out_adj
     prec = b.prec
+    in_prec = {x: set() for x in elems}
+    for x, y in prec:
+        in_prec[y].add(x)
     pairs = sorted(prec)
     viols = []
     for x, y in pairs:
@@ -286,7 +289,7 @@ def _closure_forest(b):
     """The reference for _forest, built on prec's closure: Kahn's sort over
     prec ∪ adj, then each relation's chordality check and the cover forest
     check."""
-    out_prec, out_adj = b._prec_maps[0], b._adj_maps[0]
+    out_prec, out_adj = b._out_prec, b._out_adj
     out = {x: out_prec[x] | out_adj[x] for x in b._order}
     topo = _topo_sort(b._order, out)
     if topo is None:
@@ -375,13 +378,16 @@ def test_forest_sorts_covers_and_adj_pairs(monkeypatch):
 
 def test_cyclic_covers_raise():
     # a set held by covers is built only by the library; covers that form a
-    # cycle are refused when prec is first read, not walked forever
+    # cycle are refused when prec is first read or the set is framed, not
+    # walked forever
     for cover in ({0: 0}, {0: 1, 1: 0}, {0: 1, 1: 2, 2: 1, 3: None}):
         b = BurlingSet._from_covers(sorted(cover), cover, ())
         with pytest.raises(ContractError, match="the covers form a cycle"):
             b.prec
         with pytest.raises(ContractError, match="the covers form a cycle"):
             verify_axioms(b)
+        with pytest.raises(ContractError, match="the covers form a cycle"):
+            build_frames(b)
 
 
 def test_report_lines_name_witnesses():
