@@ -93,6 +93,15 @@ class BurlingSet:
         object.__setattr__(self, "_order", order)
 
     @classmethod
+    def _from_pairs(cls, elements, prec, adj) -> BurlingSet:
+        """The set held by its pairs, with the frozensets given, which
+        load_burling_json checks as the constructor would: elements a
+        non-empty set of strings, prec and adj sets of pairs of them."""
+        b = cls.__new__(cls)
+        vars(b).update(elements=elements, prec=prec, adj=adj, _order=tuple(sorted(elements)))
+        return b
+
+    @classmethod
     def _from_covers(cls, order, cover, adj) -> BurlingSet:
         """The set held by its covers: the elements of order, which lists
         them in ascending order; prec, the ancestor relation of the forest

@@ -74,16 +74,10 @@ def _element_name(v) -> str:
 
 
 def _pair_list(raw, key: str) -> list:
-    """The pairs of raw as tuples of names, checked in bulk; only when that
-    check fails are they walked one by one to name the first bad entry."""
+    """The pairs of raw as tuples of names, walked one by one to name the
+    first bad entry."""
     if not isinstance(raw, list):
         raise InputError(f"{key!r} must be a list of pairs")
-    if (
-        set(map(type, raw)) <= {list}
-        and set(map(len, raw)) <= {2}
-        and set(map(type, chain.from_iterable(raw))) <= {str}
-    ):
-        return list(map(tuple, raw))
     out = []
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
@@ -93,8 +87,29 @@ def _pair_list(raw, key: str) -> list:
     return out
 
 
+def _declared_pairs(raw, names: frozenset):
+    """raw as a frozenset of tuples when it is a list of two-item lists of
+    declared names, which are strings, so no other check is needed;
+    otherwise None."""
+    try:
+        if (
+            isinstance(raw, list)
+            and set(map(type, raw)) <= {list}
+            and set(map(len, raw)) <= {2}
+            and names.issuperset(chain.from_iterable(raw))
+        ):
+            return frozenset(map(tuple, raw))
+    except TypeError:  # an unhashable name
+        pass
+    return None
+
+
 def load_burling_json(text: str) -> BurlingSet:
-    """The Burling set in Burling set JSON; the axioms are not checked."""
+    """The Burling set in Burling set JSON; the axioms are not checked.
+
+    Each relation is checked in one bulk pass against the declared names.
+    Only when that fails are both walked entry by entry and handed to the
+    constructor, whose messages name the first bad entry."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -104,12 +119,18 @@ def load_burling_json(text: str) -> BurlingSet:
     raw_elements = doc["elements"]
     if not isinstance(raw_elements, list):
         raise InputError("'elements' must be a list")
-    names = [_element_name(v) for v in raw_elements]
-    if len(set(names)) != len(names):
+    names = raw_elements
+    if not set(map(type, names)) <= {str}:
+        names = [_element_name(v) for v in raw_elements]
+    elements = frozenset(names)
+    if len(elements) != len(names):
         raise InputError("duplicate element names")
-    prec = _pair_list(doc.get("prec", []), "prec")
-    adj = _pair_list(doc.get("adj", []), "adj")
-    return BurlingSet(names, prec, adj)
+    raw_prec, raw_adj = doc.get("prec", []), doc.get("adj", [])
+    prec = _declared_pairs(raw_prec, elements)
+    adj = _declared_pairs(raw_adj, elements)
+    if elements and prec is not None and adj is not None:
+        return BurlingSet._from_pairs(elements, prec, adj)
+    return BurlingSet(names, _pair_list(raw_prec, "prec"), _pair_list(raw_adj, "adj"))
 
 
 def _array(items: list, depth: int) -> str:

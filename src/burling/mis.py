@@ -13,33 +13,47 @@ the whole relation combines the cones.  Elements of a selected cone are
 nested inside u, hence non-adjacent to everything the top solution keeps.
 
 By prec-out-chain every element's prec-targets form a chain, so prec is the
-ancestor relation of its cover forest, and the cone of u, u's subtree minus
-u, is the slice after u of the forest's preorder (b._spans), with no in-map.
-solve_indep works on that forest, which the set's relation index builds and
-checks once (b._forest, see core.BurlingSet):
+ancestor relation of its cover forest, which the set's relation index
+builds and checks once with the index's topological order topo (b._forest,
+see core.BurlingSet).  The cone of u is u's subtree minus u: the subtrees
+of u's children.  solve_indep lays the forest out once in postorder, roots
+and children in topo's order, so every subtree is a block of consecutive
+positions and the layout is a topological order: descendants come first,
+and an adj pair between two subtrees leaves from a child for a later
+sibling's subtree (1 below).  The greedy's choices do not depend on which
+topological order it follows (an element's residual is settled by its
+in-neighbours, its choice by its out-targets, and every topological order
+handles those first), so the results are those of the greedy run on each
+cone's full sub-relation in any order.
 
-  - one global order: the index's topological order, restricted to a cone,
-    is one of the cone's, so a cone's slice is only sorted by position in it;
-  - prec through the forest: in the greedy's first phase the deductions
-    along prec reach an element as the sum of the residuals marked in its
-    children's subtrees, passed up one parent at a time, and in the second
-    phase an element with a chosen element above it is skipped by looking
-    at its parent alone;
-  - adj as it is: by adj-target-enclosed no adj-target leaves a cone, so
-    only out_adj is walked.
-
-A cone therefore costs O(|cone| log |cone| + its adj out-degrees), the log
-for cutting its order out of the global one, rather than a topological
-sort of its own and a walk over every member's whole prec chain.  The
-greedy's choices do not depend on which topological order it follows (an
-element's residual is settled by its in-neighbours, its choice by its
-out-targets, and every topological order handles those first), so the
-results are those of the greedy run on each cone's full sub-relation.
+Reuse lemma.  Let c be a child of u, and call c crossed when a sibling has
+c as an adj-target.  Inside cone(u):
+  1. Every pair into c's subtree from outside it leaves a sibling of c.
+     prec pairs go up within a subtree.  An adj pair x -> y with x under
+     a sibling c' has x = c': x prec c' would give y prec c' by
+     adj-target-enclosed.  And c' has c as a target too, by
+     adj-extends-upward, so c is crossed.
+  2. An uncrossed c enters the greedy with residual w(c).  Its in-neighbours
+     are the members of cone(c), none of them its adj-source
+     (adj-target-enclosed), and by 1 nothing outside c's subtree reaches
+     them, so their residuals are those of cone(c)'s own run.  Their sum is
+     OPT(cone(c)) by Frank's theorem, which is B(c) - w(c) for the boosted
+     weight B(c).
+  3. Unless c is chosen, the members of cone(c) keep their cone(c)
+     choices: their out-targets are c or lie in cone(c)
+     (adj-target-enclosed), so with c not chosen they decide as there.
+So the greedy on cone(u) runs over c alone for each uncrossed child c, its
+cone's choices kept (delegated, not copied) when c is not chosen, and over
+the whole subtree of each crossed child, which its siblings' deductions
+change.  Deductions along prec are residual sums over blocks of the run,
+and a chosen element blocks its own block.  By adj-target-enclosed no adj
+pair leaves a cone, so only out_adj is walked.  The roots are the children
+of one more level, whose cone is everything: 1 holds for them as well.
 
 solve_indep checks weights once, and the relation once per set, by reading
-b._forest as chordal_relation does; it does not call mwis_chordal, which
-checks a relation from outside by its own sort and chordality check and
-runs the same greedy with no forest.
+b._forest as chordal_relation does; mwis_chordal checks a relation from
+outside by its own sort and chordality check and runs the same greedy with
+no forest.
 
 Weights are nonnegative integers.
 """
@@ -93,81 +107,120 @@ def mwis_chordal(elements, rel, weights) -> tuple:
     if peo is None:
         raise ContractError("combined relation has a cycle")
     _chordal_forest(peo, out)
-    chosen, total = _cone_greedy(peo, dict.fromkeys(peo), out, weights)
+    chosen, total = _two_phase(peo, [weights[x] for x in peo], [0] * len(peo), out)
     return frozenset(chosen), total
 
 
-def _cone_greedy(order, parent, out, boosted) -> tuple:
-    """Frank's two-phase greedy on the relation restricted to a cone, or to
-    all elements, given in topological order.  Returns (set chosen, its
-    boosted weight).
+def _two_phase(xs, ws, ks, out) -> tuple:
+    """Frank's two-phase greedy over the elements xs, in topological order,
+    with weights ws.  Returns (set chosen, its weight).
 
-    The relation is the forest's ancestor relation plus out: an element's
-    prec-targets inside the cone are its ancestors inside it, so its prec
-    deduction is the sum of the residuals marked in its subtree, and it is
-    blocked along prec when a chosen element lies above it.  A member whose
-    parent lies outside the order (the cone's own element, or none at a
-    root) passes its sum to a key that is never read.  With every parent
-    None this is the plain two-phase greedy over out.
+    Besides the pairs out, each xs[i] has the ks[i] members just before it
+    as prec-targets, its cone laid out as a block, and it is related to
+    nothing else in xs.  So its prec deduction is the residual marked over
+    that block, a difference of running sums, and a chosen element blocks
+    its whole block.  With every ks[i] zero this is the plain two-phase
+    greedy over out.
     """
+    run = 0
+    acc = [0] * len(xs)  # acc[i]: the residuals marked before xs[i]
     cut = {}  # deductions along out: residuals marked at in-neighbours
-    below = {}  # residuals marked in the subtree, the element excluded
-    marked = set()
-    for x in order:
-        s = below.get(x, 0)
-        r = boosted[x] - s - cut.get(x, 0)
+    marked = []
+    for i, (x, w, k) in enumerate(zip(xs, ws, ks)):
+        acc[i] = run
+        r = w - run + acc[i - k]
+        if x in cut:
+            r -= cut[x]
         if r > 0:
-            marked.add(x)
-            s += r
+            run += r
+            marked.append(i)
             for y in out[x]:
                 cut[y] = cut.get(y, 0) + r
-        if s:
-            p = parent[x]
-            below[p] = below.get(p, 0) + s
     chosen = set()
-    covered = set()  # elements with a chosen element at or above them
-    for x in reversed(order):
-        if parent[x] in covered:
-            covered.add(x)
-        elif x in marked and chosen.isdisjoint(out[x]):
-            chosen.add(x)
-            covered.add(x)
-    return chosen, sum(boosted[x] for x in chosen)
+    total = 0
+    floor = len(xs)  # from here up to the last chosen: in its cone
+    for i in reversed(marked):
+        if i < floor and chosen.isdisjoint(out[xs[i]]):
+            chosen.add(xs[i])
+            total += ws[i]
+            floor = i - ks[i]
+    return chosen, total
 
 
 def solve_indep(b: BurlingSet, weights) -> tuple:
     """Maximum-weight independent set of the Burling graph of b.
 
-    Returns (frozenset of elements, weight).  Bottom-up over prec-cones in
-    reverse preorder: the cone of u follows u there, so each of its members
-    has its own cone solved already.
+    Returns (frozenset of elements, weight).  Bottom-up over the cover
+    forest's postorder, each cone solved from its children's runs (see the
+    module docstring), then the roots as the children of one more level.
     """
     _check_weights(b._order, weights)
-    topo, _, parent = b._forest
-    pos = {x: i for i, x in enumerate(topo)}
-    spans, out_adj = b._spans, b._out_adj
-
-    inner = {}  # u -> elements chosen in the cone of u, their cones not expanded
-    boosted = {}  # u -> weight of u plus the optimum inside its cone
-    pre = list(spans)
-    for i in reversed(range(len(pre))):
-        u = pre[i]
-        enter, leave = spans[u]
-        total = 0
-        if leave - enter > 1:
-            order = sorted(pre[i + 1:i + 1 + (leave - enter - 1) // 2], key=pos.__getitem__)
-            inner[u], total = _cone_greedy(order, parent, out_adj, boosted)
-        boosted[u] = weights[u] + total
-
-    top, total = _cone_greedy(topo, parent, out_adj, boosted)
-    # Chosen elements are pairwise unrelated, so their cones are disjoint
-    # subtrees and every element is expanded at most once.
-    result = set(top)
-    stack = list(top)
+    topo, _, cover = b._forest
+    out_adj = b._out_adj
+    # The cover forest in postorder, roots and children in topo's order:
+    # the reverse of the preorder that takes them last first.
+    kids = {x: [] for x in topo}
+    roots = []
+    for x in topo:
+        (roots if cover[x] is None else kids[cover[x]]).append(x)
+    post = []
+    stack = roots[:]
     while stack:
-        sub = inner.get(stack.pop(), ())
-        result.update(sub)
-        stack.extend(sub)
+        x = stack.pop()
+        post.append(x)
+        stack += kids[x]
+    post.reverse()
+    pos = {x: i for i, x in enumerate(post)}
+    cone = [0] * len(post)  # by position: the size of the cone
+    for i, x in enumerate(post):
+        if cover[x] is not None:
+            cone[pos[cover[x]]] += cone[i] + 1
+    crossed = {y for x in topo for y in out_adj[x] if cover[y] == cover[x]}
+    boosted = []  # by position: weight plus the optimum inside the cone
+    inner = {}  # u -> (chosen, kept) in the cone of u, see level
+
+    def level(children) -> tuple:
+        """(chosen, kept, optimum) in the subtrees of children, siblings in
+        topo's order: chosen elements, whose cones are expanded too, and
+        uncrossed children that are not chosen, whose cones keep their own
+        choices."""
+        xs, ws, ks, kept = [], [], [], []
+        rest = 0
+        for c in children:
+            j = pos[c]
+            if c in crossed:
+                s = j - cone[j]
+                xs += post[s:j + 1]
+                ws += boosted[s:j + 1]
+                ks += cone[s:j + 1]
+            else:
+                xs.append(c)
+                ws.append(weights[c])
+                ks.append(0)
+                if cone[j]:
+                    kept.append(c)
+                    rest += boosted[j] - weights[c]
+        chosen, total = _two_phase(xs, ws, ks, out_adj)
+        return chosen, [c for c in kept if c not in chosen], total + rest
+
+    for u in post:
+        total = 0
+        if kids[u]:
+            chosen, kept, total = level(kids[u])
+            inner[u] = chosen, kept
+        boosted.append(weights[u] + total)
+
+    chosen, kept, total = level(roots)
+    # A run's chosen elements are pairwise unrelated, and a kept child's
+    # subtree holds no other member of its run, so their cones are disjoint
+    # subtrees and every element is expanded at most once.
+    result = set(chosen)
+    stack = [*chosen, *kept]
+    while stack:
+        chosen, kept = inner.get(stack.pop(), ((), ()))
+        result.update(chosen)
+        stack += chosen
+        stack += kept
     for x in result:
         bad = out_adj[x] & result
         if bad:

@@ -350,6 +350,126 @@ def test_solve_indep_matches_per_cone_reference_on_benchmark_shape():
             assert solve_indep(b, weights) == _per_cone_reference(b, weights)
 
 
+def _set_of_covers(cover, adj):
+    """The Burling set with the given covers, x -> x's cover or None, and
+    adj pairs, its prec the ancestor relation; checked to be valid."""
+    prec = []
+    for x in cover:
+        y = cover[x]
+        while y is not None:
+            prec.append((x, y))
+            y = cover[y]
+    b = BurlingSet(cover, prec, adj)
+    assert verify_axioms(b).ok
+    return b
+
+
+# No child of u is crossed, so u's run takes a and b alone; inside a, a2 is
+# crossed by its sibling a1, and r crosses u from outside.
+_UNCROSSED = _set_of_covers(
+    {"r": None, "u": None, "a": "u", "b": "u", "a1": "a", "a2": "a", "b1": "b"},
+    [("a1", "a2"), ("r", "u")],
+)
+# Under u, c1 crosses c2 and c2 crosses c3, each along a path down to the
+# grandchild of its target: c1's residual changes the deductions that c2's
+# subtree gets, and with them c2's residual, which c3's subtree gets.
+# Inside c1 and c2 one child crosses another.
+_CHAIN = _set_of_covers(
+    {
+        "u": None,
+        **{f"c{i}": "u" for i in (1, 2, 3)},
+        **{f"d{i}": f"c{i}" for i in (1, 2, 3)},
+        **{f"e{i}": f"d{i}" for i in (1, 2, 3)},
+        **{f"d{i}2": f"c{i}" for i in (1, 2, 3)},
+        "f2": "e2", "f3": "e3",
+    },
+    [
+        ("c1", "c2"), ("c1", "d2"), ("c1", "e2"),
+        ("c2", "c3"), ("c2", "d3"), ("c2", "e3"),
+        ("d1", "d12"), ("d22", "d2"),
+    ],
+)
+
+
+@pytest.mark.parametrize("b", [_UNCROSSED, _CHAIN], ids=["uncrossed", "chain"])
+def test_solve_indep_matches_per_cone_reference_on_hand_built_sets(b):
+    order = b.ordered()
+    zero = dict.fromkeys(order, 0)
+    assert solve_indep(b, zero) == _per_cone_reference(b, zero) == (frozenset(), 0)
+    # 0/1 weights leave uncrossed children of weight 0, which must delegate
+    rng = random.Random(f"hand-built:{len(order)}")
+    for top in (1, 3, 50):
+        for _ in range(200):
+            weights = {x: rng.randint(0, top) for x in order}
+            assert solve_indep(b, weights) == _per_cone_reference(b, weights)
+
+
+def test_uncrossed_child_of_weight_zero_keeps_its_cone():
+    # a weighs nothing, so the run under u leaves it unmarked; its cone's
+    # own choice, a2 over a1, must still come back.  Nested b and b1 do not
+    # meet, so both are kept.
+    weights = {"r": 0, "u": 0, "a": 0, "b": 1, "a1": 1, "a2": 2, "b1": 1}
+    assert solve_indep(_UNCROSSED, weights) == (frozenset({"a2", "b", "b1"}), 4)
+    assert solve_indep(_UNCROSSED, weights) == _per_cone_reference(_UNCROSSED, weights)
+
+
+def test_solve_indep_reruns_only_crossed_subtrees(monkeypatch):
+    # Each cone's run takes a child alone unless a sibling has it as an
+    # adj-target, and then its whole subtree; the roots are one more level.
+    runs = []
+    two_phase = mis._two_phase
+
+    def counting(xs, *rest):
+        runs.append(len(xs))
+        return two_phase(xs, *rest)
+
+    monkeypatch.setattr(mis, "_two_phase", counting)
+    rng = random.Random("crossed-subtrees")
+    for seed in range(30):
+        cfg = GeneratorConfig(seed, rng.randrange(2, 80), probe_bias=0.3, join_mix=0.8)
+        b = gen_burling(cfg)
+        targets = {x: {y for a, y in b.prec if a == x} for x in b.elements}
+        cover = {x: max(ts, key=lambda y: len(targets[y]), default=None) for x, ts in targets.items()}
+        below = {x: sum(1 for a, y in b.prec if y == x) for x in b.elements}
+        crossed = {y for x, y in b.adj if cover[x] == cover[y]}
+        expected = sum(1 + below[c] if c in crossed else 1 for c in b.elements)
+        runs.clear()
+        solve_indep(b, {x: rng.randrange(100) for x in b.elements})
+        assert sum(runs) == expected
+        assert len(runs) == len({cover[x] for x in b.elements})
+
+
+def _kahn_largest_first(nodes, out):
+    """_topo_sort of integer nodes with the largest ready node first."""
+    neg = _topo_sort([-x for x in nodes], {-x: {-y for y in out[x]} for x in nodes})
+    return tuple(-x for x in neg)
+
+
+def test_two_phase_does_not_depend_on_the_topological_order():
+    # solve_indep lays cones out in the cover forest's postorder rather
+    # than in Kahn's smallest-first order; the greedy must not see it.
+    rng = random.Random("two-phase-order")
+    differ = 0
+    for seed in range(60):
+        cfg = GeneratorConfig(seed, rng.randrange(2, 60), probe_bias=0.3, join_mix=0.8)
+        b = gen_burling(cfg)
+        out = {x: set() for x in b.elements}
+        for x, y in b.prec | b.adj:
+            out[x].add(y)
+        for u in [None, *b.ordered()]:
+            cone = b.elements if u is None else {x for x, y in b.prec if y == u}
+            if len(cone) < 2:
+                continue
+            sub = {x: out[x] & cone for x in cone}
+            smallest = _topo_sort(sorted(cone), sub)
+            largest = _kahn_largest_first(sorted(cone), sub)
+            for top in (1, 5, 99):
+                weights = {x: rng.randint(0, top) for x in cone}
+                assert _two_phase(smallest, sub, weights) == _two_phase(largest, sub, weights)
+            differ += smallest != largest
+    assert differ > 300
+
+
 def test_solve_indep_sorts_topologically_once(monkeypatch):
     # verify_axioms, solve_indep and build_frames share one relation
     # index: one out-map for prec and one for adj, and one topological
@@ -394,34 +514,41 @@ _SOLVE_CHILD = """
 import time
 from burling import GeneratorConfig, Graph, gen_burling, solve_indep
 from burling.recognition import subproblem_structure
-b = gen_burling(GeneratorConfig(seed=1, target_size=2000))
-weights = {x: x * 7919 % 100 for x in b.ordered()}
-start = time.perf_counter()
-sel, total = solve_indep(b, weights)
-gen_s = time.perf_counter() - start
-ok = total == sum(weights[x] for x in sel)
-ok = ok and not any(a in sel and c in sel for a, c in b.adj)
-del b, sel
+ok = True
+seconds = []
+for settings in ({}, {"probe_bias": 0.3, "join_mix": 0.8}):
+    b = gen_burling(GeneratorConfig(seed=1, target_size=2000, **settings))
+    weights = {x: x * 7919 % 100 for x in b.ordered()}
+    start = time.perf_counter()
+    sel, total = solve_indep(b, weights)
+    seconds.append(time.perf_counter() - start)
+    ok = ok and total == sum(weights[x] for x in sel)
+    ok = ok and not any(a in sel and c in sel for a, c in b.adj)
+    del b, sel
+gen_s, crossed_s = seconds
 n = 1000
 w = subproblem_structure(Graph(n, [(i, i + 1) for i in range(n - 1)]), None, range(n))
 start = time.perf_counter()
 sel, total = solve_indep(w, {i: i * 7919 % 100 for i in range(n)})
 path_s = time.perf_counter() - start
 peak = peak_kib()
-print(ok, gen_s, path_s, total, peak)
+print(ok, gen_s, crossed_s, path_s, total, peak)
 """
 
 
 def test_large_sets_within_memory_and_time_budget(run_child):
-    # An n = 2000 generated set, and the witness the dynamic program
-    # builds for a whole 1000-vertex path: its prec holds n^2/4 pairs and
-    # its cones are the deepest for their size.  (recognize peels a path
-    # off instead, which leaves its witness without prec pairs.)  A child process runs the solves; generating the set takes most
-    # of its peak resident size.
-    (ok, gen_s, path_s, total, peak_kib), _ = run_child(_SOLVE_CHILD)
+    # Two n = 2000 generated sets, the second at the indep benchmark's
+    # settings, whose many sibling crossings rerun the most subtrees; and
+    # the witness the dynamic program builds for a whole 1000-vertex path:
+    # its prec holds n^2/4 pairs and its cones are the deepest for their
+    # size.  (recognize peels a path off instead, which leaves its witness
+    # without prec pairs.)  A child process runs the solves; generating the
+    # sets takes most of its peak resident size.
+    (ok, gen_s, crossed_s, path_s, total, peak_kib), _ = run_child(_SOLVE_CHILD)
     assert ok == "True"
     assert int(total) == _path_mwis([i * 7919 % 100 for i in range(1000)])
     assert float(gen_s) < 10.0
+    assert float(crossed_s) < 0.5
     assert float(path_s) < 10.0
     assert int(peak_kib) < 200 * 1024
 

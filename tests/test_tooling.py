@@ -378,6 +378,17 @@ def test_burling_json_round_trip():
 def test_burling_json_coerces_int_names():
     b = load_burling_json('{"elements": [1, 2], "adj": [[1, 2]]}')
     assert b == BurlingSet(["1", "2"], adj=[("1", "2")])
+    # string elements, one integer name in a pair: the entry-by-entry walk
+    b = load_burling_json('{"elements": ["1", "2", "3"], "prec": [["1", 2], ["1", "3"]]}')
+    assert b == BurlingSet(["1", "2", "3"], prec=[("1", "2"), ("1", "3")])
+
+
+def test_burling_json_keeps_one_copy_of_a_repeated_pair():
+    text = '{"elements": ["a", "b", "c"], "prec": [["a", "b"], ["a", "b"]], "adj": [["c", "a"]]}'
+    b = load_burling_json(text)
+    assert b == load_burling_json(text.replace('["a", "b"], ["a", "b"]', '["a", "b"]'))
+    assert b == BurlingSet("abc", prec=[("a", "b")], adj=[("c", "a")])
+    assert repr(b) == "BurlingSet(3 elements, 1 prec, 1 adj)"
 
 
 def test_burling_json_rejections():
