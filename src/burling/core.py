@@ -29,16 +29,20 @@ such a chain, and x is neither p, settled before it, nor one of p's
 targets, whose targets would all be p's, fewer than x's.  So no pair (x, y)
 with x settled can break irreflexivity or transitivity, and prec-out-chain
 holds at x.  On a valid set every element is settled, its targets being its
-cover p and p's targets, the pairwise checks walk no pair, and _forest
-orders the set by its covers.
+cover p and p's targets.  When every element is settled, prec is the
+ancestor relation of the cover forest, so verify_axioms checks only the adj
+axioms, on the forest's DFS spans and the index's one Kahn sort, and
+_forest orders the set by its covers.
 
 A set holds prec in one of two ways.  BurlingSet(...) keeps the pairs it is
-given, so that verify_axioms can report whatever is wrong with them.
-gen_burling and extract_burling hold prec by its cover forest, each
-element's cover or None, and compare two such sets by covers and adj.  The
-index walks the forest by DFS spans (_dfs); prec's closure, built on first
-read, is read only by _cover on sets given as pairs, verify_axioms,
-dump_burling_json, chordal_relation, classify_elements, restrict, the joins.
+given, and load_burling_json their out-map, so that verify_axioms can
+report whatever is wrong with them.  gen_burling and extract_burling hold
+prec by its cover forest, each element's cover or None, and compare two
+such sets by covers and adj.  The index walks the forest by DFS spans
+(_dfs); prec's pairs, built from the out-map or the forest on first read,
+are read only by verify_axioms on a set with an element that is not
+settled, dump_burling_json, chordal_relation, classify_elements, restrict,
+the joins, and the equality of sets not both held by covers.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -94,11 +98,15 @@ class BurlingSet:
 
     @classmethod
     def _from_pairs(cls, elements, prec, adj) -> BurlingSet:
-        """The set held by its pairs, with the frozensets given, which
-        load_burling_json checks as the constructor would: elements a
-        non-empty set of strings, prec and adj sets of pairs of them."""
+        """The set held by its pairs, which load_burling_json checks as the
+        constructor would: elements a non-empty set of strings, prec and adj
+        iterables of pairs of them.  prec is kept as its out-map, filled here
+        in one pass, and adj as a frozenset of tuples."""
         b = cls.__new__(cls)
-        vars(b).update(elements=elements, prec=prec, adj=adj, _order=tuple(sorted(elements)))
+        vars(b).update(
+            elements=elements, adj=frozenset(map(tuple, adj)),
+            _order=tuple(sorted(elements)), _out_prec=_maps(elements, prec),
+        )
         return b
 
     @classmethod
@@ -121,8 +129,11 @@ class BurlingSet:
 
     @cached_property
     def prec(self) -> frozenset:
-        """The prec pairs; a set held by its pairs sets them at construction,
-        one held by its covers builds them here, on first read."""
+        """The prec pairs.  The constructor sets them; a set loaded from JSON
+        builds them from its out-map, and one held by its covers from the
+        forest, on first read."""
+        if not self._by_covers:
+            return frozenset((x, y) for x, ys in self._out_prec.items() for y in ys)
         above = {}
         for x in self._spans:
             c = self._cover[x]
@@ -145,7 +156,7 @@ class BurlingSet:
         if self._by_covers:
             pairs = sum((leave - enter - 1) // 2 for enter, leave in self._spans.values())
         else:
-            pairs = len(self.prec)
+            pairs = sum(map(len, self._out_prec.values()))
         return (
             f"BurlingSet({len(self.elements)} elements, "
             f"{pairs} prec, {len(self.adj)} adj)"
@@ -196,6 +207,16 @@ class BurlingSet:
         return spans
 
     @cached_property
+    def _kahn(self) -> tuple:
+        """(succ, topo) for a set whose elements all have a cover entry:
+        succ maps x to its cover, if any, and its adj-targets, and topo is
+        Kahn's sort of succ (_topo_sort), None on a cycle.  verify_axioms
+        and _forest share it."""
+        out_adj = self._out_adj
+        succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in self._cover.items()}
+        return succ, _topo_sort(self._order, succ)
+
+    @cached_property
     def _forest(self) -> tuple:
         """(topo, parent, up): the smallest-id-first topological order of
         prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
@@ -219,11 +240,10 @@ class BurlingSet:
         quoting its report's first line, the report computed only then."""
         cover = self._cover
         if len(cover) == len(self._order):
-            out_adj, span = self._out_adj, self._spans
-            succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in cover.items()}
-            topo = _topo_sort(self._order, succ) or ()
-            pos = {x: i for i, x in enumerate(topo)}
-            parent = {x: min(succ[x], key=pos.__getitem__, default=None) for x in topo}
+            span = self._spans
+            succ, topo = self._kahn
+            pos = {x: i for i, x in enumerate(topo or ())}
+            parent = {x: min(succ[x], key=pos.__getitem__, default=None) for x in pos}
             if topo and all(
                 len(ts) < 2
                 or len({t for t in ts if span[t][0] < span[parent[x]][0] < span[t][1]})
@@ -394,17 +414,17 @@ def _find_cycle(elements_sorted, out):
     return None
 
 
-def _chain_gap(targets, prec, in_count):
+def _chain_gap(targets, related, in_count):
     """A pair of prec-incomparable members of targets, or None.
 
     Sorting by how many elements precede each target puts any prec-chain in
     chain order, so when prec is transitive it is enough to test consecutive
-    members.  (When transitivity is broken that check has already produced
-    its own violation.)
+    members a, b by related(a, b).  (When transitivity is broken that check
+    has already produced its own violation.)
     """
     ts = sorted(targets, key=lambda t: (in_count[t], t))
     for a, b in zip(ts, ts[1:]):
-        if (a, b) not in prec and (b, a) not in prec:
+        if not related(a, b):
             return (a, b)
     return None
 
@@ -412,12 +432,57 @@ def _chain_gap(targets, prec, in_count):
 def verify_axioms(b: BurlingSet) -> VerificationReport:
     """Check every axiom, reporting each failure with a witnessing tuple.
 
-    Intended for untrusted input, so nothing is assumed: transitivity of prec
-    is checked pair by pair from every element that is not settled (see the
-    module docstring), and settled elements need no such check.  The maps and
-    the settled elements are the relation index's, so a set checked and then
-    solved or framed builds them once.
+    Intended for untrusted input, so nothing is assumed.  When every element
+    is settled (see the module docstring), prec is the ancestor relation of
+    the cover forest and only the adj axioms can fail.  They are then read
+    off the index: adj is acyclic when _kahn sorts the covers and adj pairs;
+    in-counts are cone sizes from _spans, and y prec z when z's span holds
+    y's; the enclosed and upward checks walk x's and y's cover chains up to
+    the first ancestor of y and of x.  Otherwise transitivity of prec is
+    checked pair by pair from every element that is not settled.  Either
+    way the report is the same, and the index is built once for a set
+    checked and then solved or framed.
     """
+    elems, out_adj, settled = b._order, b._out_adj, b._cover
+    if len(settled) < len(elems):
+        return _pairwise_report(b)
+    span = b._spans
+    size = {x: (leave - enter - 1) // 2 for x, (enter, leave) in span.items()}
+
+    def below(y, z):
+        return span[z][0] < span[y][0] < span[z][1]
+
+    viols = []
+    if b._kahn[1] is None:
+        cyc = _find_cycle(elems, out_adj)
+        if cyc is not None:
+            viols.append(Violation("adj-acyclic", cyc))
+    found = []
+    for x in elems:
+        if len(out_adj[x]) > 1:
+            gap = _chain_gap(out_adj[x], below, size)
+            if gap is not None:
+                viols.append(Violation("adj-out-chain", (x, *gap)))
+        for y in out_adj[x]:
+            extra, z = [], settled[x]
+            while z is not None and not below(y, z):
+                extra.append(z)
+                z = settled[z]
+            if extra:
+                found.append(((x, y), 0, Violation("adj-target-enclosed", (x, y, min(extra)))))
+            extra, z = [], settled[y]
+            while z is not None and not below(x, z):
+                if z not in out_adj[x]:
+                    extra.append(z)
+                z = settled[z]
+            if extra:
+                found.append(((x, y), 1, Violation("adj-extends-upward", (x, y, min(extra)))))
+    viols += (v for *_, v in sorted(found, key=lambda f: f[:2]))
+    return VerificationReport(tuple(viols))
+
+
+def _pairwise_report(b: BurlingSet) -> VerificationReport:
+    """verify_axioms on a set with an element that is not settled."""
     elems = b._order
     out_prec, out_adj = b._out_prec, b._out_adj
     prec = b.prec
@@ -443,13 +508,17 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
         viols.append(Violation("adj-acyclic", cyc))
 
     in_count = Counter(y for _, y in prec)
+
+    def related(a, c):
+        return (a, c) in prec or (c, a) in prec
+
     for x in elems:
         if len(out_prec[x]) > 1 and x not in settled:
-            gap = _chain_gap(out_prec[x], prec, in_count)
+            gap = _chain_gap(out_prec[x], related, in_count)
             if gap is not None:
                 viols.append(Violation("prec-out-chain", (x, gap[0], gap[1])))
         if len(out_adj[x]) > 1:
-            gap = _chain_gap(out_adj[x], prec, in_count)
+            gap = _chain_gap(out_adj[x], related, in_count)
             if gap is not None:
                 viols.append(Violation("adj-out-chain", (x, gap[0], gap[1])))
 

@@ -87,28 +87,26 @@ def _pair_list(raw, key: str) -> list:
     return out
 
 
-def _declared_pairs(raw, names: frozenset):
-    """raw as a frozenset of tuples when it is a list of two-item lists of
-    declared names, which are strings, so no other check is needed;
-    otherwise None."""
+def _declared(raw, names: frozenset) -> bool:
+    """Whether raw is a list of two-item lists of declared names, which are
+    strings, so that no other check is needed."""
     try:
-        if (
+        return (
             isinstance(raw, list)
             and set(map(type, raw)) <= {list}
             and set(map(len, raw)) <= {2}
             and names.issuperset(chain.from_iterable(raw))
-        ):
-            return frozenset(map(tuple, raw))
+        )
     except TypeError:  # an unhashable name
-        pass
-    return None
+        return False
 
 
 def load_burling_json(text: str) -> BurlingSet:
     """The Burling set in Burling set JSON; the axioms are not checked.
 
-    Each relation is checked in one bulk pass against the declared names.
-    Only when that fails are both walked entry by entry and handed to the
+    Each relation is checked in one bulk pass against the declared names
+    and handed to the set as it is, which keeps prec as its out-map.  Only
+    when that fails are both walked entry by entry and handed to the
     constructor, whose messages name the first bad entry."""
     try:
         doc = json.loads(text)
@@ -125,12 +123,10 @@ def load_burling_json(text: str) -> BurlingSet:
     elements = frozenset(names)
     if len(elements) != len(names):
         raise InputError("duplicate element names")
-    raw_prec, raw_adj = doc.get("prec", []), doc.get("adj", [])
-    prec = _declared_pairs(raw_prec, elements)
-    adj = _declared_pairs(raw_adj, elements)
-    if elements and prec is not None and adj is not None:
+    prec, adj = doc.get("prec", []), doc.get("adj", [])
+    if elements and _declared(prec, elements) and _declared(adj, elements):
         return BurlingSet._from_pairs(elements, prec, adj)
-    return BurlingSet(names, _pair_list(raw_prec, "prec"), _pair_list(raw_adj, "adj"))
+    return BurlingSet(names, _pair_list(prec, "prec"), _pair_list(adj, "adj"))
 
 
 def _array(items: list, depth: int) -> str:

@@ -15,9 +15,11 @@ from burling import (
     Graph,
     build_frames,
     classify_elements,
+    dump_burling_json,
     gen_burling,
     induced_graph,
     inner_join,
+    load_burling_json,
     outer_join,
     restrict,
     verify_axioms,
@@ -26,7 +28,6 @@ from burling import core
 from burling.core import (
     VerificationReport,
     Violation,
-    _chain_gap,
     _chordal_forest,
     _find_cycle,
     _topo_sort,
@@ -201,11 +202,11 @@ def test_verified_sets_have_an_acyclic_union():
 
 def _per_pair_report(b):
     """verify_axioms as it was before settled elements: irreflexivity and
-    transitivity checked on every prec pair, and prec-out-chain tested at
-    every element."""
+    transitivity checked on every prec pair, prec-out-chain tested at every
+    element, and the adj axioms on the relation maps of prec's pairs."""
     elems = b._order
-    out_prec, out_adj = b._out_prec, b._out_adj
     prec = b.prec
+    out_prec, out_adj = core._maps(elems, prec), core._maps(elems, b.adj)
     in_prec = {x: set() for x in elems}
     for x, y in prec:
         in_prec[y].add(x)
@@ -226,15 +227,19 @@ def _per_pair_report(b):
     if cyc is not None:
         viols.append(Violation("adj-acyclic", cyc))
     in_count = {x: len(in_prec[x]) for x in elems}
+
+    def chain_gap(targets):
+        ts = sorted(targets, key=lambda t: (in_count[t], t))
+        for a, c in zip(ts, ts[1:]):
+            if (a, c) not in prec and (c, a) not in prec:
+                return (a, c)
+        return None
+
     for x in elems:
-        if len(out_prec[x]) > 1:
-            gap = _chain_gap(out_prec[x], prec, in_count)
+        for check, targets in (("prec-out-chain", out_prec[x]), ("adj-out-chain", out_adj[x])):
+            gap = chain_gap(targets)
             if gap is not None:
-                viols.append(Violation("prec-out-chain", (x, gap[0], gap[1])))
-        if len(out_adj[x]) > 1:
-            gap = _chain_gap(out_adj[x], prec, in_count)
-            if gap is not None:
-                viols.append(Violation("adj-out-chain", (x, gap[0], gap[1])))
+                viols.append(Violation(check, (x, *gap)))
     for x, y in sorted(b.adj):
         extra = out_prec[x] - out_prec[y]
         if extra:
@@ -245,9 +250,25 @@ def _per_pair_report(b):
     return VerificationReport(tuple(viols))
 
 
+def _adj_mutation(rng, elems, adj, times):
+    """adj with a pair added, dropped or reversed, times times over."""
+    adj = set(adj)
+    for _ in range(times):
+        change = rng.choice(("add", "drop", "reverse")) if adj else "add"
+        if change == "add":
+            adj.add((rng.choice(elems), rng.choice(elems)))
+        else:
+            pair = rng.choice(sorted(adj))
+            adj.discard(pair)
+            if change == "reverse":
+                adj.add(pair[::-1])
+    return adj
+
+
 def _reference_cases(rng):
-    """Generated sets, each also with one prec or adj pair added or removed,
-    then random relations with loops on 1 to 5 elements."""
+    """Generated sets, each also with one prec or adj pair added or removed
+    and with adj alone changed at one or two pairs, then random relations
+    with loops on 1 to 5 elements."""
     for seed in range(300):
         cfg = GeneratorConfig(
             seed,
@@ -265,6 +286,8 @@ def _reference_cases(rng):
                 yield BurlingSet(elems, **{**rels, name: pairs - {gone}})
             new = (rng.choice(elems), rng.choice(elems))
             yield BurlingSet(elems, **{**rels, name: pairs | {new}})
+        for times in (1, 1, 2, 2):
+            yield BurlingSet(elems, b.prec, _adj_mutation(rng, elems, b.adj, times))
     for _ in range(6000):
         k = rng.randint(1, 5)
         every = list(itertools.product(range(k), repeat=2))
@@ -275,14 +298,24 @@ def _reference_cases(rng):
 
 
 def test_settled_elements_keep_every_report():
-    # Settled elements skip the pairwise prec checks; the report must stay
-    # line for line what checking every pair gives.
+    # Settled elements skip the pairwise prec checks, and where every
+    # element is settled the adj axioms are read off the cover forest; the
+    # report must stay line for line what checking every pair gives, on
+    # each set as built and as loaded from its dump.
     verdicts = {True: 0, False: 0}
-    for b in _reference_cases(random.Random(47)):
-        report = verify_axioms(b)
-        assert report.lines() == _per_pair_report(b).lines(), b
-        verdicts[report.ok] += 1
-    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
+    forest_checks = dict.fromkeys(
+        ("adj-acyclic", "adj-out-chain", "adj-target-enclosed", "adj-extends-upward"), 0
+    )
+    for built in _reference_cases(random.Random(47)):
+        for b in (built, load_burling_json(dump_burling_json(built))):
+            report = verify_axioms(b)
+            assert report.lines() == _per_pair_report(b).lines(), b
+            verdicts[report.ok] += 1
+            if len(b._cover) == len(b._order):
+                for v in report.violations:
+                    forest_checks[v.check] += 1
+    assert verdicts[True] > 2000 and verdicts[False] > 2000, verdicts
+    assert min(forest_checks.values()) > 1000, forest_checks
 
 
 def _closure_forest(b):
@@ -332,7 +365,7 @@ def test_forest_matches_the_closure_reference():
     # Where _forest orders a set, it gives the closure's (topo, parent, up),
     # and it orders every set that verify_axioms accepts.  Where it cannot,
     # the set is refused and the ContractError quotes the report's first
-    # line; the closure orders 116 of these refused sets.
+    # line; the closure orders 166 of these refused sets.
     verdicts = {True: 0, False: 0}
     refused_orderable = 0
     cases = itertools.chain(
@@ -351,7 +384,7 @@ def test_forest_matches_the_closure_reference():
             assert got == expected, b
         verdicts[not isinstance(got, str)] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
-    assert refused_orderable == 116
+    assert refused_orderable == 166
 
 
 def test_forest_sorts_covers_and_adj_pairs(monkeypatch):

@@ -16,6 +16,7 @@ from burling import (
     extract_burling,
     gen_burling,
     inner_join,
+    load_burling_json,
     outer_join,
     solve_indep,
     verify_axioms,
@@ -99,12 +100,15 @@ def _one_cover_changed(b: BurlingSet) -> BurlingSet:
 def test_sets_held_by_covers_match_their_pairs(probe_bias, join_mix):
     # The generator and extract_burling hold prec by its covers.  Such a set
     # behaves as the set built from its pairs, and two of them compare by
-    # their covers, with no closure built, not even when b is framed and
-    # solved.
+    # their covers, with no closure built, not even when the sets are
+    # checked, framed and solved.
     for seed, size in itertools.product(range(8), (1, 2, 5, 24, 48, 112)):
         cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
         b = gen_burling(cfg)
+        assert verify_axioms(b).ok, cfg
         e = extract_burling(build_frames(b))
+        assert verify_axioms(e).ok, cfg
+        build_frames(e)
         vertical_order(b)
         solve_indep(b, {x: x % 7 for x in b.elements})
         held = (b, e)
@@ -112,6 +116,7 @@ def test_sets_held_by_covers_match_their_pairs(probe_bias, join_mix):
         texts = [repr(h) for h in held]
         changed = _one_cover_changed(b) if size > 1 else None
         if changed is not None:
+            verify_axioms(changed)
             assert b != changed and changed != e, cfg
         assert not any("prec" in vars(h) for h in (*held, changed) if h is not None), cfg
         for h, text in zip(held, texts):
@@ -122,6 +127,27 @@ def test_sets_held_by_covers_match_their_pairs(probe_bias, join_mix):
             assert verify_axioms(h) == verify_axioms(ref), cfg
             if changed is not None:
                 assert ref != changed and changed != ref, cfg
+
+
+@pytest.mark.parametrize("probe_bias, join_mix", _SETTINGS)
+def test_loaded_sets_build_no_closure(probe_bias, join_mix):
+    # load_burling_json keeps prec as its out-map: a loaded set is checked,
+    # framed and solved with no prec pairs built, and it behaves as the set
+    # built from its pairs.
+    for seed, size in itertools.product(range(4), (1, 2, 5, 24, 112)):
+        cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
+        b = load_burling_json(dump_burling_json(gen_burling(cfg)))
+        report = verify_axioms(b)
+        assert report.ok, cfg
+        build_frames(b)
+        solve_indep(b, dict.fromkeys(b.elements, 1))
+        text = repr(b)
+        assert "prec" not in vars(b), cfg
+        ref = BurlingSet(b.elements, b.prec, b.adj)
+        assert b == ref and ref == b, cfg
+        assert (hash(b), text) == (hash(ref), repr(ref)), cfg
+        assert dump_burling_json(b) == dump_burling_json(ref), cfg
+        assert report == verify_axioms(ref), cfg
 
 
 def test_builds_one_set_per_call(monkeypatch):

@@ -473,8 +473,8 @@ def test_two_phase_does_not_depend_on_the_topological_order():
 def test_solve_indep_sorts_topologically_once(monkeypatch):
     # verify_axioms, solve_indep and build_frames share one relation
     # index: one out-map for prec and one for adj, and one topological
-    # order of the elements, which cones restrict.  The other sorts are of
-    # the 2n horizontal symbols.
+    # order of the elements, which cones restrict and which verify_axioms,
+    # run first, takes.  The other sorts are of the 2n horizontal symbols.
     b = gen_burling(GeneratorConfig(seed=3, target_size=60))
     fresh = BurlingSet(b.elements, b.prec, b.adj)
     maps = []
@@ -493,7 +493,7 @@ def test_solve_indep_sorts_topologically_once(monkeypatch):
     for module in (core, mis, frames):
         monkeypatch.setattr(module, "_topo_sort", counting_sort)
     assert verify_axioms(fresh).ok
-    assert sorts == []
+    assert sorts == [60]
     solve_indep(fresh, _unit(fresh.elements))
     assert sorts == [60]
     build_frames(fresh)

@@ -718,6 +718,39 @@ def test_cli_gen(tmp_path, capsys):
     assert main(["gen", "--n", "9", "--seed", "3", "--probe-bias", "1.5"]) == 2
 
 
+@pytest.fixture(scope="module")
+def set_at_the_cap(tmp_path_factory):
+    """A file holding what gen --n 2000 --seed 1 prints: the generator's
+    cap, 513 979 prec pairs and 2 283 adj pairs."""
+    path = tmp_path_factory.mktemp("cap") / "gen-2000-1.json"
+    path.write_text(dump_burling_json(gen_burling(GeneratorConfig(seed=1, target_size=2000))))
+    return str(path)
+
+
+_CLI_CHILD = """
+import contextlib, io, time
+from burling.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, time.perf_counter() - start, peak_kib())
+"""
+
+
+@pytest.mark.parametrize("command", [("verify", "set"), ("frames",)])
+def test_cli_at_the_generator_cap_within_memory_and_time_budget(
+    run_child, set_at_the_cap, command
+):
+    # Two rows of the per-command budgets.  Both commands load the set,
+    # most of their time and memory, and check it on its cover forest:
+    # about 0.6-1.1 s and 160-177 MB each on a 2-vCPU machine, where
+    # reading prec's closure took 1.1-2.0 s and 192-209 MB.
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=[*command, set_at_the_cap]))
+    assert code == "0"
+    assert float(elapsed) < 2.0
+    assert int(peak_kib) < 200 * 1024
+
+
 def test_cli_svg(tmp_path, capsys):
     frames = _write(tmp_path, "f.json", dump_frames_json(build_frames(fig3_set())))
     out = str(tmp_path / "out.svg")
