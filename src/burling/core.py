@@ -35,14 +35,18 @@ axioms, on the forest's DFS spans and the index's one Kahn sort, and
 _forest orders the set by its covers.
 
 A set holds prec in one of two ways.  BurlingSet(...) keeps the pairs it is
-given, and load_burling_json their out-map, so that verify_axioms can
-report whatever is wrong with them.  gen_burling and extract_burling hold
-prec by its cover forest, each element's cover or None, and compare two
-such sets by covers and adj.  The index walks the forest by DFS spans
-(_dfs); prec's pairs, built from the out-map or the forest on first read,
-are read only by verify_axioms on a set with an element that is not
-settled, dump_burling_json, chordal_relation, classify_elements, restrict,
-the joins, and the equality of sets not both held by covers.
+given, and load_burling_json the out-map of a file's pairs, so that
+verify_axioms can report whatever is wrong with them.  gen_burling,
+extract_burling, recognize, and load_burling_json on a file of covers hold
+prec by its cover forest, each element's cover or None.  Two sets whose
+elements are all settled compare by covers and adj: prec is then the
+covers' ancestor relation, and a forest's ancestor relation fixes its
+covers.  The index walks the forest by DFS spans (_dfs); prec's pairs,
+built from the out-map or the forest on first read, are read only by
+verify_axioms on a set with an element that is not settled,
+dump_burling_json on such a set, chordal_relation, classify_elements,
+restrict, the joins, and the equality of sets with an element that is not
+settled.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -74,7 +78,8 @@ class BurlingSet:
     the job of verify_axioms.  Element ids may be any sortable hashable
     values; integers internally, strings at file boundaries.  A set is held
     by its pairs or by its covers (see the module docstring); two sets are
-    equal when their elements, prec and adj are.
+    equal when their elements, prec and adj are, which is read off their
+    covers when every element of both is settled.
     """
 
     elements: frozenset
@@ -110,17 +115,21 @@ class BurlingSet:
         return b
 
     @classmethod
-    def _from_covers(cls, order, cover, adj) -> BurlingSet:
+    def _from_covers(cls, order, cover, adj, spans=None) -> BurlingSet:
         """The set held by its covers: the elements of order, which lists
         them in ascending order; prec, the ancestor relation of the forest
         cover, x -> x's cover or None for every element; and the pairs adj.
-        Nothing is checked, so only the library's own constructions call
-        it."""
+        spans, when the caller has walked the forest already, is its _dfs.
+        Nothing is checked: the library's own constructions call it, and
+        load_burling_json once it has checked that the covers form a
+        forest on declared names."""
         b = cls.__new__(cls)
         vars(b).update(
             elements=frozenset(order), adj=frozenset(adj), _order=tuple(order),
             _cover=cover, _by_covers=True,
         )
+        if spans is not None:
+            vars(b)["_spans"] = spans
         return b
 
     def ordered(self) -> list:
@@ -145,8 +154,12 @@ class BurlingSet:
             return NotImplemented
         if self.elements != other.elements or self.adj != other.adj:
             return False
-        if self._by_covers and other._by_covers:
-            return self._cover == other._cover
+        # Which elements are settled depends on prec alone.
+        cover = self._cover
+        if len(cover) != len(other._cover):
+            return False
+        if len(cover) == len(self._order):
+            return cover == other._cover
         return self.prec == other.prec
 
     def __hash__(self) -> int:

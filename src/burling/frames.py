@@ -252,7 +252,9 @@ def intersection_graph(family: FrameFamily) -> Graph:
 
 def horizontal_constraints(b: BurlingSet) -> list:
     """The strictly-less-than constraints on horizontal symbols, as ordered
-    pairs (smaller symbol, larger symbol), deduplicated and sorted.
+    pairs (smaller symbol, larger symbol), in the order they are built.  A
+    constraint may repeat; horizontal_order's smallest-first Kahn sort
+    gives the same order for any order or repetition of its edges.
 
     For every cover a of c in prec's cover forest and every adj pair a, c,
     l_c < l_a < r_c; r_a < r_c for a cover and r_c < r_a across adj; and
@@ -270,23 +272,23 @@ def horizontal_constraints(b: BurlingSet) -> list:
     out_adj = b._out_adj
     # z -> the right symbol of z's last adj-target, for z with adj-targets
     escape = {z: 2 * idx[max(ts, key=pos.__getitem__)] + 1 for z, ts in out_adj.items() if ts}
-    cons = set()
+    cons = []
     for i, a in enumerate(order):
-        cons.add((2 * i, 2 * i + 1))
+        cons.append((2 * i, 2 * i + 1))
         c = up[a]
         if c is not None:
-            cons.add((2 * idx[c], 2 * i))  # l_c < l_a since a prec c
-            cons.add((2 * i, 2 * idx[c] + 1))  # l_a < r_c
-            cons.add((2 * i + 1, 2 * idx[c] + 1))
+            cons.append((2 * idx[c], 2 * i))  # l_c < l_a since a prec c
+            cons.append((2 * i, 2 * idx[c] + 1))  # l_a < r_c
+            cons.append((2 * i + 1, 2 * idx[c] + 1))
             if c in escape:
-                cons.add((escape[c], 2 * i))
+                cons.append((escape[c], 2 * i))
     for a, c in b.adj:
-        cons.add((2 * idx[c], 2 * idx[a]))
-        cons.add((2 * idx[a], 2 * idx[c] + 1))
-        cons.add((2 * idx[c] + 1, 2 * idx[a] + 1))
+        cons.append((2 * idx[c], 2 * idx[a]))
+        cons.append((2 * idx[a], 2 * idx[c] + 1))
+        cons.append((2 * idx[c] + 1, 2 * idx[a] + 1))
         if c in escape:
-            cons.add((escape[c], 2 * idx[a]))
-    return sorted(cons)
+            cons.append((escape[c], 2 * idx[a]))
+    return cons
 
 
 def horizontal_order(b: BurlingSet) -> dict:

@@ -5,10 +5,17 @@ line is the vertex count n with 1 <= n <= 100000 (_MAX_VERTICES; a larger
 count is rejected before anything is allocated for it), and every further
 line is an edge "u v" with 0 <= u < v < n, no duplicates.
 
-Burling set JSON: {"elements": [names], "prec": [[a, b], ...],
-"adj": [[a, b], ...]}.  Names are strings (integers are accepted and
-converted).  Dumps are deterministic: sorted names, sorted pairs, fixed
-key order.
+Burling set JSON comes in two forms, with the same "elements": [names] and
+"adj": [[a, b], ...].  The cover form, {"elements", "cover", "adj"}, gives
+prec by its cover forest: one pair [x, c] for each element x that has a
+cover c, x's prec-target with the most prec-targets, so that prec is the
+ancestor relation of the covers.  The pair form, {"elements", "prec",
+"adj"}, lists every prec pair [a, b].  A document has at most one of
+"cover" and "prec", and names are strings (integers are accepted and
+converted).  dump_burling_json writes the cover form whenever every element
+is settled (see core), as in every valid set, and the pair form otherwise,
+since covers cannot state that set's prec.  Dumps are deterministic: sorted
+names, sorted pairs, fixed key order.
 
 Frames JSON: a list of {"id", "l", "r", "b", "t"} objects.
 
@@ -21,7 +28,7 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import BurlingSet
+from .core import BurlingSet, _dfs, _relation
 from .errors import InputError
 from .frames import Frame, FrameFamily
 from .graph import Graph
@@ -101,13 +108,46 @@ def _declared(raw, names: frozenset) -> bool:
         return False
 
 
-def load_burling_json(text: str) -> BurlingSet:
-    """The Burling set in Burling set JSON; the axioms are not checked.
+def _named_pairs(raw, key: str, names: frozenset) -> list:
+    """raw, the list under key, as pairs of declared names.  Checked in one
+    bulk pass; only when that fails is it walked entry by entry, to name the
+    first bad entry."""
+    if _declared(raw, names):
+        return raw
+    pairs = _pair_list(raw, key)
+    _relation(pairs, names, key)
+    return pairs
 
-    Each relation is checked in one bulk pass against the declared names
-    and handed to the set as it is, which keeps prec as its out-map.  Only
-    when that fails are both walked entry by entry and handed to the
-    constructor, whose messages name the first bad entry."""
+
+def _cover_set(order: list, pairs, adj) -> BurlingSet:
+    """The set held by the covers pairs, [x, c] for x's cover c, checked to
+    give each element at most one cover and to form a forest."""
+    cover = dict.fromkeys(order)
+    for x, c in pairs:
+        if cover[x] is not None:
+            raise InputError(f"element {x!r} has more than one cover")
+        cover[x] = c
+    spans = _dfs(order, cover)
+    if len(spans) < len(order):
+        # walk up from the least element on or below a cycle until the walk
+        # closes the cycle
+        x, path = min(x for x in order if x not in spans), {}
+        while x not in path:
+            path[x] = len(path)
+            x = cover[x]
+        cycle = list(path)[path[x]:]
+        raise InputError("the covers form a cycle: " + " -> ".join(cycle + [x]))
+    return BurlingSet._from_covers(order, cover, map(tuple, adj), spans)
+
+
+def load_burling_json(text: str) -> BurlingSet:
+    """The Burling set in Burling set JSON, of either form; the axioms are
+    not checked.
+
+    Each list is checked in one bulk pass against the declared names.  A
+    set given by covers is held by them once they are checked to form a
+    forest, so that prec is valid by construction; one given by pairs keeps
+    prec as its out-map."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -123,10 +163,17 @@ def load_burling_json(text: str) -> BurlingSet:
     elements = frozenset(names)
     if len(elements) != len(names):
         raise InputError("duplicate element names")
-    prec, adj = doc.get("prec", []), doc.get("adj", [])
-    if elements and _declared(prec, elements) and _declared(adj, elements):
-        return BurlingSet._from_pairs(elements, prec, adj)
-    return BurlingSet(names, _pair_list(prec, "prec"), _pair_list(adj, "adj"))
+    if not elements:
+        raise InputError("a Burling set needs at least one element")
+    if "cover" in doc:
+        if "prec" in doc:
+            raise InputError("a document may not have both 'prec' and 'cover'")
+        cover = _named_pairs(doc["cover"], "cover", elements)
+        adj = _named_pairs(doc.get("adj", []), "adj", elements)
+        return _cover_set(sorted(elements), cover, adj)
+    prec = _named_pairs(doc.get("prec", []), "prec", elements)
+    adj = _named_pairs(doc.get("adj", []), "adj", elements)
+    return BurlingSet._from_pairs(elements, prec, adj)
 
 
 def _array(items: list, depth: int) -> str:
@@ -139,23 +186,38 @@ def _array(items: list, depth: int) -> str:
 
 
 def _pairs(relation) -> str:
-    """The relation's pairs, named and sorted, as the "prec" or "adj" array
-    of a dump."""
+    """The relation's pairs, named and sorted, as the "cover", "prec" or
+    "adj" array of a dump."""
     named = sorted((str(a), str(c)) for a, c in relation)
     return _array([f"[\n   {_quote(a)},\n   {_quote(c)}\n  ]" for a, c in named], 1)
 
 
+def _dump(b: BurlingSet, key: str, pairs) -> str:
+    """The document of b's elements, pairs under key and adj pairs."""
+    elements = _array([_quote(str(x)) for x in b.ordered()], 1)
+    return (
+        f'{{\n "elements": {elements},\n "{key}": {_pairs(pairs)},\n'
+        f' "adj": {_pairs(b.adj)}\n}}'
+    )
+
+
+def _pair_form(b: BurlingSet) -> str:
+    """The pair form of b, which dump_burling_json writes for a set with an
+    element that is not settled."""
+    return _dump(b, "prec", b.prec)
+
+
 def dump_burling_json(b: BurlingSet) -> str:
-    """Burling set JSON of b, names as strings, names and pairs sorted.
+    """Burling set JSON of b, names as strings, names and pairs sorted: the
+    cover form when every element is settled, else the pair form.
 
     The text is json.dumps(doc, indent=1) of the document, written out
     directly: most of a dump is its pairs, and the encoder would lay out
     each one in Python."""
-    elements = _array([_quote(str(x)) for x in b.ordered()], 1)
-    return (
-        f'{{\n "elements": {elements},\n "prec": {_pairs(b.prec)},\n'
-        f' "adj": {_pairs(b.adj)}\n}}'
-    )
+    cover = b._cover
+    if len(cover) < len(b.elements):
+        return _pair_form(b)
+    return _dump(b, "cover", ((x, c) for x, c in cover.items() if c is not None))
 
 
 def frame_records(text: str) -> list:

@@ -82,7 +82,8 @@ its components, for rooted(r, S) the inner, outer and pendant parts and the
 nesting order of the inner parts, each followed by N[S]; a failed or
 refuted subproblem is kept as None.  The nesting order reads each inner
 part's N(C) off that part's own plan.  The witness is built once at the end
-from the plans of the solved tree, N[S] included.  Subproblems are solved
+from the plans of the solved tree, N[S] included, as each element's cover
+and the adj pairs (_Recognizer.witness).  Subproblems are solved
 on demand, in the order the recursive definition visits them: each one is
 a generator that yields the subproblems it needs and receives their plans,
 driven by a loop over an explicit stack, so deep inputs need no recursion.
@@ -421,23 +422,42 @@ class _Recognizer:
 
     # -- witnesses ----------------------------------------------------------
 
-    def pairs(self, key) -> tuple:
-        """The prec and adj pairs, between names, of the solved subproblem
-        key and of every subproblem its plan rests on."""
-        adj, name = self.adj, self.names
-        prec_pairs, adj_pairs = set(), set()
-        todo, done = [key], set()
+    def witness(self, key, cover: dict, adj_pairs: set) -> None:
+        """Records, between names, the covers and adj pairs of the solved
+        subproblem key and of every subproblem its plan rests on: the cover
+        of each element that has one into cover, and the adj pairs into
+        adj_pairs.
+
+        Only rooted(r, S) adds prec pairs: each x in an inner part C_i goes
+        inside r, and inside each y of C_j that sees N(C_i) when C_i nests
+        in C_j.  Any other pair is between the elements of one part's own
+        solution, a deeper one, so x's cover is there when x has a target
+        there.  Otherwise it is the least of r and the y's: in the innermost
+        C_j that C_i nests in, the one y that is no other's cover, since
+        those y are the ancestors of the least of them, and r when C_i nests
+        in none.  Subproblems are visited children first, so the covers in
+        C_j are known by then; top[key] holds the elements of S that are
+        left without a cover."""
+        adj, name, bit = self.adj, self.names, self.bit
+        keys, todo = [], [key]
         while todo:
             key = todo.pop()
-            if key in done:
-                continue
-            done.add(key)
+            keys.append(key)
+            r, s = key
+            plan = self.plans[key]
+            if r is None:
+                todo += ((plan[0], c) for c in plan[1])
+            else:
+                todo += ((None, c) for c in plan[0])
+                todo += ((q, c) for c, q in plan[1])
+        top = {}
+        for key in reversed(keys):
             r, s = key
             plan = self.plans[key]
             if r is None:
                 root, comps, nclosed = plan
-                todo += ((root, c) for c in comps)
-                rb = self.bit[root]
+                rb = bit[root]
+                top[key] = rb | sum(top[root, c] for c in comps)
                 adj_pairs.update(
                     (name[p], name[root])
                     for p in _members(nclosed & ~s)
@@ -445,18 +465,21 @@ class _Recognizer:
                 )
                 continue
             inner, outer, pendant, order, nclosed = plan
-            todo += ((None, c) for c in inner)
-            todo += ((q, c) for c, q in outer)
-            for c in inner:
-                prec_pairs.update((name[x], name[r]) for x in _members(c))
-            for i, j in order:
-                c1, c2 = inner[i], inner[j]
-                nb1 = self.plans[None, c1][-1] & ~c1
-                targets = [name[y] for y in _members(c2) if adj[y] & nb1]
-                prec_pairs.update((name[x], y) for x in _members(c1) for y in targets)
+            top[key] = s & ~sum(inner) & ~sum(c for c, _ in outer)
+            top[key] |= sum(top[q, c] for c, q in outer)
+            for i, c in enumerate(inner):
+                around = [j for k, j in order if k == i]
+                target = name[r]
+                if around:
+                    j = next(j for j in around if not any((k, j) in order for k in around))
+                    nb = self.plans[None, c][-1] & ~c
+                    ys = [name[y] for y in _members(inner[j]) if adj[y] & nb]
+                    covers = {cover[y] for y in ys}
+                    target = next(y for y in ys if y not in covers)
+                for x in _members(top[None, c]):
+                    cover[name[x]] = target
             adj_pairs.update((name[q], name[r]) for q in _members(adj[r] & nclosed))
             adj_pairs.update((name[p], name[q]) for p, q in pendant)
-        return prec_pairs, adj_pairs
 
 
 def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
@@ -479,11 +502,12 @@ def subproblem_structure(g: Graph, root, s) -> "BurlingSet | None":
     plan = rec.solve(key)
     if plan is None:
         return None
-    prec, adj = rec.pairs(key)
-    elements = frozenset(names[v] for v in _members(plan[-1]))
-    if any(x not in elements for pair in prec | adj for x in pair):
+    order = sorted(names[v] for v in _members(plan[-1]))
+    cover, adj = dict.fromkeys(order), set()
+    rec.witness(key, cover, adj)
+    if len(cover) > len(order) or any(x not in cover for pair in adj for x in pair):
         raise ContractError("subproblem solution covers the wrong element set")
-    return BurlingSet(elements, prec, adj)
+    return BurlingSet._from_covers(order, cover, adj)
 
 
 def recognize(g: Graph) -> "BurlingSet | None":
@@ -546,21 +570,15 @@ def recognize_with_stats(g: Graph):
 
 
 def _attach(n: int, solved, peeled) -> BurlingSet:
-    """The witness on vertices 0..n-1: the union of the solved components'
-    pairs, with the peeled vertices attached back in reverse order."""
-    prec, adj = set(), set()
+    """The witness on vertices 0..n-1, held by its covers: the solved
+    components' covers and adj pairs, with the peeled vertices attached back
+    in reverse order, each v under the cover of its neighbor u, since v's
+    prec-targets are u's."""
+    cover, adj = dict.fromkeys(range(n)), set()
     for rec, key in solved:
-        p, a = rec.pairs(key)
-        prec |= p
-        adj |= a
-    above = {}  # element -> its prec-targets
-    for x, y in prec:
-        above.setdefault(x, []).append(y)
+        rec.witness(key, cover, adj)
     for v, u in reversed(peeled):
-        if u is None:
-            continue
-        adj.add((v, u))
-        if u in above:
-            above[v] = above[u]
-            prec.update((v, z) for z in above[u])
-    return BurlingSet(range(n), prec, adj)
+        if u is not None:
+            adj.add((v, u))
+            cover[v] = cover[u]
+    return BurlingSet._from_covers(range(n), cover, adj)

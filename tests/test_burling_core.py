@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
@@ -316,6 +317,28 @@ def test_settled_elements_keep_every_report():
                     forest_checks[v.check] += 1
     assert verdicts[True] > 2000 and verdicts[False] > 2000, verdicts
     assert min(forest_checks.values()) > 1000, forest_checks
+
+
+def test_equality_agrees_with_prec_pairs():
+    # Sets whose elements are all settled compare by covers, any other pair
+    # by prec's pairs; either way == is the equality of the elements and
+    # both relations' pairs.  Each case is compared with a copy built from
+    # its pairs and with the three cases before it, which mostly share its
+    # elements.  Counted by (equal, covers compared, prec compared).
+    seen = Counter()
+    recent = []
+    for b in _reference_cases(random.Random(61)):
+        for a in (BurlingSet(b.elements, b.prec, b.adj), *recent):
+            got = (a == b, b == a)
+            want = (a.elements, a.prec, a.adj) == (b.elements, b.prec, b.adj)
+            assert got == (want, want), (a, b)
+            if a.elements == b.elements and a.adj == b.adj:
+                settled = {len(a._cover) == len(a._order), len(b._cover) == len(b._order)}
+                seen[want, settled == {True}, settled == {False}] += 1
+        recent = [b, *recent[:2]]
+    assert seen[True, True, False] > 1000 and seen[True, False, True] > 1000, seen
+    assert seen[False, True, False] > 200 and seen[False, False, True] > 50, seen
+    assert seen[False, False, False] > 500, seen
 
 
 def _closure_forest(b):

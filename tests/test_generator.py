@@ -23,6 +23,7 @@ from burling import (
     vertical_order,
 )
 from burling.generator import SplitMix64, _pick
+from burling.io import _pair_form
 
 
 def _join_reference(cfg: GeneratorConfig) -> BurlingSet:
@@ -131,12 +132,15 @@ def test_sets_held_by_covers_match_their_pairs(probe_bias, join_mix):
 
 @pytest.mark.parametrize("probe_bias, join_mix", _SETTINGS)
 def test_loaded_sets_build_no_closure(probe_bias, join_mix):
-    # load_burling_json keeps prec as its out-map: a loaded set is checked,
-    # framed and solved with no prec pairs built, and it behaves as the set
-    # built from its pairs.
-    for seed, size in itertools.product(range(4), (1, 2, 5, 24, 112)):
+    # load_burling_json holds prec by the covers of a file in the cover
+    # form and keeps it as its out-map from one in the pair form: either
+    # way a loaded set is checked, framed and solved with no prec pairs
+    # built, and it behaves as the set built from its pairs.
+    for seed, size, dump in itertools.product(
+        range(4), (1, 2, 5, 24, 112), (dump_burling_json, _pair_form)
+    ):
         cfg = GeneratorConfig(seed, size, probe_bias, join_mix)
-        b = load_burling_json(dump_burling_json(gen_burling(cfg)))
+        b = load_burling_json(dump(gen_burling(cfg)))
         report = verify_axioms(b)
         assert report.ok, cfg
         build_frames(b)
@@ -162,8 +166,9 @@ def test_builds_one_set_per_call(monkeypatch):
     assert len(calls) == 1
 
 
-# SHA-256 of dump_burling_json(gen_burling(cfg)), recorded with the
-# join-based generator, which built a new set at every step
+# SHA-256 of the pair form of gen_burling(cfg), recorded with the
+# join-based generator, which built a new set at every step, when
+# dump_burling_json wrote every set in the pair form
 PINS = (
     (GeneratorConfig(1, 200), "a8db738587d01d2852a5615a544e0865ab6dd51306c41672449875f3a97825a9"),
     (
@@ -179,8 +184,11 @@ PINS = (
 
 @pytest.mark.parametrize("cfg, digest", PINS)
 def test_output_is_pinned(cfg, digest):
-    text = dump_burling_json(gen_burling(cfg))
+    b = gen_burling(cfg)
+    text = _pair_form(b)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the cover form that dump_burling_json writes states the same set
+    assert load_burling_json(dump_burling_json(b)) == load_burling_json(text)
 
 
 _GEN_CHILD = """

@@ -15,7 +15,8 @@ seeds 112 and 117 have the shapes of 100 and 105 and a non-empty core.  For
 each generated Burling graph (the two generator settings of the benchmark's
 accepting workload, under a seeded vertex relabelling) the test pins the
 number of unrooted and rooted subproblems the run creates and the SHA-256
-of the witness's JSON; for graphs of the benchmark's reject pool it pins
+of the witness's JSON in the pair form, which dump_burling_json wrote for
+every set when the pins were recorded; for graphs of the benchmark's reject pool it pins
 the verdict and the two counts.  Equal counts mean the rewrite explores the
 same subproblems; equal hashes mean it builds the same witness.
 
@@ -39,8 +40,10 @@ from burling import (
     dump_burling_json,
     gen_burling,
     induced_graph,
+    load_burling_json,
     recognize_with_stats,
 )
+from burling.io import _pair_form
 
 REJECT_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reject_pool.json"
 
@@ -114,7 +117,10 @@ def test_accepted_run_is_pinned(seed, n, probe_bias, join_mix, unrooted, rooted,
     w, stats = recognize_with_stats(g)
     assert w is not None
     assert (stats.unrooted_count, stats.rooted_count) == (unrooted, rooted)
-    assert hashlib.sha256(dump_burling_json(w).encode()).hexdigest() == digest
+    text = _pair_form(w)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the cover form that dump_burling_json writes states the same set
+    assert load_burling_json(dump_burling_json(w)) == load_burling_json(text)
 
 
 @pytest.mark.parametrize("index, unrooted, rooted", REJECTED, ids=REJECTED_IDS)

@@ -437,10 +437,84 @@ def test_burling_json_rejections():
             load_burling_json(text)
 
 
+def test_burling_json_cover_form_rejections():
+    for text, message in (
+        (
+            '{"elements": ["a", "b", "c"], "cover": [["a", "b"], ["b", "c"], ["c", "b"]]}',
+            "the covers form a cycle: b -> c -> b",
+        ),
+        ('{"elements": ["a", "b"], "cover": [["b", "b"]]}', "the covers form a cycle: b -> b"),
+        (
+            '{"elements": ["a", "b", "c"], "cover": [["a", "b"], ["a", "c"]]}',
+            "element 'a' has more than one cover",
+        ),
+        (
+            '{"elements": ["a", "b"], "cover": [["a", "b"], ["a", "b"]]}',
+            "element 'a' has more than one cover",
+        ),
+        (
+            '{"elements": ["a", "b"], "cover": [["a", "z"]]}',
+            "cover pair ('a', 'z') references an undeclared element",
+        ),
+        (
+            '{"elements": ["a", "b"], "cover": [], "adj": [["z", "a"]]}',
+            "adj pair ('z', 'a') references an undeclared element",
+        ),
+        ('{"elements": ["a", "b"], "cover": [["a"]]}', "'cover' entry ['a'] is not a pair"),
+        ('{"elements": ["a", "b"], "cover": "ab"}', "'cover' must be a list of pairs"),
+        (
+            '{"elements": ["a", "b"], "cover": [["a", "b"]], "prec": [["a", "b"]]}',
+            "a document may not have both 'prec' and 'cover'",
+        ),
+        ('{"elements": [], "cover": []}', "a Burling set needs at least one element"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_burling_json(text)
+
+
+def _named(b: BurlingSet) -> BurlingSet:
+    """b with its element ids turned into strings, as a file names them."""
+    return BurlingSet(
+        map(str, b.elements),
+        [(str(x), str(y)) for x, y in b.prec],
+        [(str(x), str(y)) for x, y in b.adj],
+    )
+
+
+def test_burling_json_round_trip_in_both_forms():
+    # Sets whose elements are all settled are written as covers and read
+    # back held by them; a set with an element that is not settled is
+    # written and read as pairs.
+    sets = []
+    for seed in range(12):
+        b = gen_burling(GeneratorConfig(seed=seed, target_size=40, probe_bias=0.3, join_mix=0.8))
+        sets += [b, recognize(induced_graph(b)), extract_burling(build_frames(b))]
+    for b in sets:
+        text = dump_burling_json(b)
+        assert '"cover"' in text and '"prec"' not in text
+        loaded = load_burling_json(text)
+        assert loaded._by_covers and loaded == _named(b)
+    unsettled = BurlingSet("xyz", prec=[("x", "y"), ("x", "z")], adj=[("y", "z")])
+    assert len(unsettled._cover) < 3
+    text = dump_burling_json(unsettled)
+    assert json.loads(text)["prec"] == [["x", "y"], ["x", "z"]]
+    assert load_burling_json(text) == unsettled
+
+
+def _covers_of(b: BurlingSet) -> list:
+    """[x, c] for each element x of a set whose elements are all settled
+    and x's cover c, read off prec's pairs: x's target with most targets."""
+    above = {x: {y for a, y in b.prec if a == x} for x in b.elements}
+    return sorted(
+        [str(x), str(max(ys, key=lambda y: len(above[y])))] for x, ys in above.items() if ys
+    )
+
+
 def test_dump_burling_json_is_sorted_json():
     data = json.loads(dump_burling_json(fig3_set()))
+    assert list(data) == ["elements", "cover", "adj"]
     assert data["elements"] == list("abcdef")
-    assert data["prec"] == [["e", "c"]]
+    assert data["cover"] == [["e", "c"]]
     assert data["adj"][0] == ["b", "a"]
 
 
@@ -461,10 +535,18 @@ def test_dump_burling_json_matches_the_json_encoder():
     for b in sets + _generated_sets():
         doc = {
             "elements": [str(x) for x in b.ordered()],
-            "prec": sorted([str(a), str(c)] for a, c in b.prec),
+            "cover": _covers_of(b),
             "adj": sorted([str(a), str(c)] for a, c in b.adj),
         }
         assert dump_burling_json(b) == json.dumps(doc, indent=1)
+    # an element that is not settled: x's targets y and z are unrelated
+    b = BurlingSet(_ESCAPED + ["x"], prec=[("x", "z\n"), ("x", "\u00e9")], adj=[("x", 'a"b')])
+    doc = {
+        "elements": [str(x) for x in b.ordered()],
+        "prec": sorted([str(a), str(c)] for a, c in b.prec),
+        "adj": sorted([str(a), str(c)] for a, c in b.adj),
+    }
+    assert dump_burling_json(b) == json.dumps(doc, indent=1)
 
 
 # ----------------------------------------------------------------- frames json
@@ -741,11 +823,36 @@ print(code, time.perf_counter() - start, peak_kib())
 def test_cli_at_the_generator_cap_within_memory_and_time_budget(
     run_child, set_at_the_cap, command
 ):
-    # Two rows of the per-command budgets.  Both commands load the set,
-    # most of their time and memory, and check it on its cover forest:
-    # about 0.6-1.1 s and 160-177 MB each on a 2-vCPU machine, where
-    # reading prec's closure took 1.1-2.0 s and 192-209 MB.
+    # Two rows of the per-command budgets.  Both commands load the set and
+    # check it on its cover forest: about 0.1 s and 20 MB each on a 2-vCPU
+    # machine from the cover form, where the pair form took 0.6-1.1 s and
+    # 160-177 MB, and reading prec's closure 1.1-2.0 s and 192-209 MB.
     (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=[*command, set_at_the_cap]))
+    assert code == "0"
+    assert float(elapsed) < 2.0
+    assert int(peak_kib) < 200 * 1024
+
+
+@pytest.fixture(scope="module")
+def inner_joins_at_the_cap(tmp_path_factory):
+    """A file holding what gen --n 2000 --seed 1 --probe-bias 0 --join-mix 1
+    prints: every move an inner join, 1 997 001 prec pairs, written as
+    1 999 covers in 129 534 bytes."""
+    path = tmp_path_factory.mktemp("cap") / "gen-2000-1-inner.json"
+    cfg = GeneratorConfig(seed=1, target_size=2000, probe_bias=0, join_mix=1)
+    path.write_text(dump_burling_json(gen_burling(cfg)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [("verify", "set"), ("frames",)])
+def test_cli_on_inner_joins_at_the_cap_within_memory_and_time_budget(
+    run_child, inner_joins_at_the_cap, command
+):
+    # The same budget on the generator's largest prec.  Written as pairs,
+    # the file took 58 MB, and each command 3.5-4.0 s and 642 MB; written
+    # as covers, about 0.4 s and 20 MB on a 2-vCPU machine.
+    argv = [*command, inner_joins_at_the_cap]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
     assert code == "0"
     assert float(elapsed) < 2.0
     assert int(peak_kib) < 200 * 1024
