@@ -41,12 +41,12 @@ extract_burling, recognize, and load_burling_json on a file of covers hold
 prec by its cover forest, each element's cover or None.  Two sets whose
 elements are all settled compare by covers and adj: prec is then the
 covers' ancestor relation, and a forest's ancestor relation fixes its
-covers.  The index walks the forest by DFS spans (_dfs); prec's pairs,
-built from the out-map or the forest on first read, are read only by
-verify_axioms on a set with an element that is not settled,
-dump_burling_json on such a set, chordal_relation, classify_elements,
-restrict, the joins, and the equality of sets with an element that is not
-settled.
+covers.  The index lays the forest out once, by DFS spans in topological
+order (_spans); prec's pairs, built from the out-map or the forest on first
+read, are read only by verify_axioms on a set with an element that is not
+settled, dump_burling_json on such a set, chordal_relation,
+classify_elements, restrict, the joins, and the equality of sets with an
+element that is not settled.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -115,11 +115,10 @@ class BurlingSet:
         return b
 
     @classmethod
-    def _from_covers(cls, order, cover, adj, spans=None) -> BurlingSet:
+    def _from_covers(cls, order, cover, adj) -> BurlingSet:
         """The set held by its covers: the elements of order, which lists
         them in ascending order; prec, the ancestor relation of the forest
         cover, x -> x's cover or None for every element; and the pairs adj.
-        spans, when the caller has walked the forest already, is its _dfs.
         Nothing is checked: the library's own constructions call it, and
         load_burling_json once it has checked that the covers form a
         forest on declared names."""
@@ -128,8 +127,6 @@ class BurlingSet:
             elements=frozenset(order), adj=frozenset(adj), _order=tuple(order),
             _cover=cover, _by_covers=True,
         )
-        if spans is not None:
-            vars(b)["_spans"] = spans
         return b
 
     def ordered(self) -> list:
@@ -212,9 +209,14 @@ class BurlingSet:
 
     @cached_property
     def _spans(self) -> dict:
-        """_dfs of the cover forest, for a set whose elements all have a
-        cover entry.  Raises ContractError if the covers form a cycle."""
-        spans = _dfs(self._order, self._cover)
+        """The set's one layout of the cover forest, for a set whose
+        elements all have a cover entry: _dfs over _kahn's topo reversed,
+        or over the ids if topo is None.  Its keys reversed are a postorder
+        with siblings in topo's order, x's cone the (leave - enter - 1) // 2
+        keys before x, and on a Burling set a topological order (see mis).
+        Raises ContractError if the covers form a cycle."""
+        topo = self._kahn[1]
+        spans = _dfs(self._order if topo is None else topo[::-1], self._cover)
         if len(spans) < len(self._order):
             raise ContractError("the covers form a cycle")
         return spans
@@ -223,8 +225,8 @@ class BurlingSet:
     def _kahn(self) -> tuple:
         """(succ, topo) for a set whose elements all have a cover entry:
         succ maps x to its cover, if any, and its adj-targets, and topo is
-        Kahn's sort of succ (_topo_sort), None on a cycle.  verify_axioms
-        and _forest share it."""
+        Kahn's sort of succ (_topo_sort), None on a cycle.  verify_axioms,
+        _spans and _forest share it."""
         out_adj = self._out_adj
         succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in self._cover.items()}
         return succ, _topo_sort(self._order, succ)

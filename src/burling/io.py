@@ -15,7 +15,9 @@ ancestor relation of the covers.  The pair form, {"elements", "prec",
 converted).  dump_burling_json writes the cover form whenever every element
 is settled (see core), as in every valid set, and the pair form otherwise,
 since covers cannot state that set's prec.  Dumps are deterministic: sorted
-names, sorted pairs, fixed key order.
+names, sorted pairs, fixed key order.  A text over 8 MiB (_MAX_SET_TEXT
+characters) is refused unparsed; a valid set's dump at the generator's cap
+is under 150 kB.
 
 Frames JSON: a list of {"id", "l", "r", "b", "t"} objects.
 
@@ -28,12 +30,13 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import BurlingSet, _dfs, _relation
+from .core import BurlingSet, _relation
 from .errors import InputError
 from .frames import Frame, FrameFamily
 from .graph import Graph
 
 _MAX_VERTICES = 100_000
+_MAX_SET_TEXT = 8 * 2**20
 
 
 def _data_lines(text: str):
@@ -127,17 +130,18 @@ def _cover_set(order: list, pairs, adj) -> BurlingSet:
         if cover[x] is not None:
             raise InputError(f"element {x!r} has more than one cover")
         cover[x] = c
-    spans = _dfs(order, cover)
-    if len(spans) < len(order):
-        # walk up from the least element on or below a cycle until the walk
-        # closes the cycle
-        x, path = min(x for x in order if x not in spans), {}
-        while x not in path:
-            path[x] = len(path)
-            x = cover[x]
-        cycle = list(path)[path[x]:]
-        raise InputError("the covers form a cycle: " + " -> ".join(cycle + [x]))
-    return BurlingSet._from_covers(order, cover, map(tuple, adj), spans)
+    # walk up from each element until a root or an earlier walk: the first
+    # walk to meet itself, from the least element on or below a cycle, names it
+    walk = {None: None}
+    for x in order:
+        y = x
+        while y not in walk:
+            walk[y] = x
+            y = cover[y]
+        if walk[y] == x:
+            path = list(walk)
+            raise InputError("the covers form a cycle: " + " -> ".join(path[path.index(y):] + [y]))
+    return BurlingSet._from_covers(order, cover, map(tuple, adj))
 
 
 def load_burling_json(text: str) -> BurlingSet:
@@ -148,6 +152,8 @@ def load_burling_json(text: str) -> BurlingSet:
     set given by covers is held by them once they are checked to form a
     forest, so that prec is valid by construction; one given by pairs keeps
     prec as its out-map."""
+    if len(text) > _MAX_SET_TEXT:
+        raise InputError(f"text of {len(text)} characters exceeds the limit of {_MAX_SET_TEXT}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

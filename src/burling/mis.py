@@ -16,10 +16,10 @@ By prec-out-chain every element's prec-targets form a chain, so prec is the
 ancestor relation of its cover forest, which the set's relation index
 builds and checks once with the index's topological order topo (b._forest,
 see core.BurlingSet).  The cone of u is u's subtree minus u: the subtrees
-of u's children.  solve_indep lays the forest out once in postorder, roots
-and children in topo's order, so every subtree is a block of consecutive
-positions and the layout is a topological order: descendants come first,
-and an adj pair between two subtrees leaves from a child for a later
+of u's children.  solve_indep reads the index's layout of the forest
+(b._spans), a postorder with roots and children in topo's order, in which
+every subtree is a block of consecutive positions and which is a
+topological order, an adj pair between subtrees leaving a child for a later
 sibling's subtree (1 below).  The greedy's choices do not depend on which
 topological order it follows (an element's residual is settled by its
 in-neighbours, its choice by its out-targets, and every topological order
@@ -155,39 +155,27 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
     module docstring), then the roots as the children of one more level.
     """
     _check_weights(b._order, weights)
-    topo, _, cover = b._forest
+    _, _, cover = b._forest
     out_adj = b._out_adj
-    # The cover forest in postorder, roots and children in topo's order:
-    # the reverse of the preorder that takes them last first.
-    kids = {x: [] for x in topo}
-    roots = []
-    for x in topo:
-        (roots if cover[x] is None else kids[cover[x]]).append(x)
-    post = []
-    stack = roots[:]
-    while stack:
-        x = stack.pop()
-        post.append(x)
-        stack += kids[x]
-    post.reverse()
-    pos = {x: i for i, x in enumerate(post)}
-    cone = [0] * len(post)  # by position: the size of the cone
-    for i, x in enumerate(post):
-        if cover[x] is not None:
-            cone[pos[cover[x]]] += cone[i] + 1
-    crossed = {y for x in topo for y in out_adj[x] if cover[y] == cover[x]}
+    post = list(b._spans)[::-1]  # the index's layout, see core.BurlingSet._spans
+    cone = [(leave - enter - 1) // 2 for enter, leave in reversed(b._spans.values())]
+    crossed = {y for x, ys in out_adj.items() for y in ys if cover[y] == cover[x]}
     boosted = []  # by position: weight plus the optimum inside the cone
     inner = {}  # u -> (chosen, kept) in the cone of u, see level
 
-    def level(children) -> tuple:
-        """(chosen, kept, optimum) in the subtrees of children, siblings in
-        topo's order: chosen elements, whose cones are expanded too, and
-        uncrossed children that are not chosen, whose cones keep their own
-        choices."""
+    def level(lo, hi) -> tuple:
+        """(chosen, kept, optimum) in the block of positions lo..hi - 1, a
+        cone or the whole layout, read child by child back from its end:
+        chosen elements, whose cones are expanded too, and uncrossed
+        children that are not chosen, whose cones keep their own choices."""
+        j, children = hi - 1, []
+        while j >= lo:
+            children.append(j)
+            j -= cone[j] + 1
         xs, ws, ks, kept = [], [], [], []
         rest = 0
-        for c in children:
-            j = pos[c]
+        for j in reversed(children):
+            c = post[j]
             if c in crossed:
                 s = j - cone[j]
                 xs += post[s:j + 1]
@@ -203,14 +191,14 @@ def solve_indep(b: BurlingSet, weights) -> tuple:
         chosen, total = _two_phase(xs, ws, ks, out_adj)
         return chosen, [c for c in kept if c not in chosen], total + rest
 
-    for u in post:
+    for i, u in enumerate(post):
         total = 0
-        if kids[u]:
-            chosen, kept, total = level(kids[u])
+        if cone[i]:
+            chosen, kept, total = level(i - cone[i], i)
             inner[u] = chosen, kept
         boosted.append(weights[u] + total)
 
-    chosen, kept, total = level(roots)
+    chosen, kept, total = level(0, len(post))
     # A run's chosen elements are pairwise unrelated, and a kept child's
     # subtree holds no other member of its run, so their cones are disjoint
     # subtrees and every element is expanded at most once.

@@ -446,6 +446,46 @@ def test_cyclic_covers_raise():
             build_frames(b)
 
 
+def _check_layout(b):
+    """list(b._spans) reversed is a topological order of the covers and adj
+    pairs, and each element's cone is the block of (leave - enter - 1) // 2
+    positions just before it."""
+    post = list(b._spans)[::-1]
+    pos = {x: i for i, x in enumerate(post)}
+    assert sorted(post) == b.ordered()
+    cone = {x: set() for x in post}
+    for x, c in b._cover.items():
+        while c is not None:
+            cone[c].add(x)
+            assert pos[x] < pos[c], b
+            c = b._cover[c]
+    assert all(pos[x] < pos[y] for x, y in b.adj), b
+    for i, x in enumerate(post):
+        enter, leave = b._spans[x]
+        k = (leave - enter - 1) // 2
+        assert set(post[i - k:i]) == cone[x], b
+
+
+def test_spans_lay_out_the_forest_in_topological_postorder():
+    # one layout serves verify_axioms, _forest and solve_indep: a postorder
+    # of the cover forest whose siblings and roots follow the Kahn sort
+    rng = random.Random("spans-layout")
+    for seed in range(40):
+        cfg = GeneratorConfig(seed, rng.randrange(1, 70), probe_bias=0.3, join_mix=0.8)
+        b = gen_burling(cfg)
+        _check_layout(b)
+        _check_layout(load_burling_json(dump_burling_json(b)))
+    # with no topological order the layout falls back to id order, still
+    # holding every element, and the report is the pairwise check's
+    cover = {"a": "c", "b": "c", "c": None, "d": None, "e": "d"}
+    adj = [("a", "b"), ("b", "a"), ("e", "c"), ("d", "a")]
+    b = BurlingSet._from_covers(sorted(cover), cover, adj)
+    assert b._kahn[1] is None
+    assert b._spans == {"c": (1, 6), "a": (2, 3), "b": (4, 5), "d": (7, 10), "e": (8, 9)}
+    lines = ["adj-acyclic: a, b", "adj-extends-upward: d, a, c", "adj-target-enclosed: e, c, d"]
+    assert verify_axioms(b).lines() == core._pairwise_report(b).lines() == lines
+
+
 def test_report_lines_name_witnesses():
     rep = verify_axioms(BurlingSet("ab", adj=[("a", "b"), ("b", "a")]))
     assert not rep.ok

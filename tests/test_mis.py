@@ -22,7 +22,7 @@ from burling import (
     solve_indep,
     verify_axioms,
 )
-from burling import core, frames, mis
+from burling import core, frames, io, mis
 from burling.core import _chordal_forest, _topo_sort
 from burling.errors import ContractError, InputError
 
@@ -499,6 +499,29 @@ def test_solve_indep_sorts_topologically_once(monkeypatch):
     build_frames(fresh)
     assert sorted(maps) == sorted([len(b.prec), len(b.adj)])
     assert sorted(sorts) == [60, 120]
+
+
+def test_solve_indep_reads_the_index_layout(monkeypatch):
+    # The cover forest is laid out once per set, by the index (_spans), and
+    # loading a file of covers does not lay it out.
+    walks = []
+    dfs = core._dfs
+
+    def counting(order, up):
+        walks.append(len(order))
+        return dfs(order, up)
+
+    monkeypatch.setattr(core, "_dfs", counting)
+    b = gen_burling(GeneratorConfig(seed=5, target_size=50, probe_bias=0.3, join_mix=0.8))
+    weights = {x: x % 7 for x in b.elements}
+    answer = solve_indep(b, weights)
+    assert walks == [50]
+    loaded = io.load_burling_json(io.dump_burling_json(b))
+    assert walks == [50]
+    assert verify_axioms(loaded).ok
+    named = solve_indep(loaded, {str(x): w for x, w in weights.items()})
+    assert walks == [50, 50]
+    assert named == (frozenset(map(str, answer[0])), answer[1])
 
 
 def _path_mwis(ws):

@@ -46,6 +46,7 @@ from burling import (
 )
 from burling.cli import main
 from burling.errors import InputError
+from burling.io import _pair_form
 
 
 def fig3_set():
@@ -432,6 +433,12 @@ def test_burling_json_rejections():
             '{"elements": [1, 2], "adj": [[1, 3]]}',
             "adj pair ('1', '3') references an undeclared element",
         ),
+        # 8 MiB of text is parsed, and one character more refused unread
+        (" " * 2**23, "invalid JSON: Expecting value: line 1 column 8388609 (char 8388608)"),
+        (
+            " " * (2**23 + 1),
+            "text of 8388609 characters exceeds the limit of 8388608",
+        ),
     ):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_burling_json(text)
@@ -444,6 +451,18 @@ def test_burling_json_cover_form_rejections():
             "the covers form a cycle: b -> c -> b",
         ),
         ('{"elements": ["a", "b"], "cover": [["b", "b"]]}', "the covers form a cycle: b -> b"),
+        (
+            # two disjoint cycles: the one reached from the least element
+            '{"elements": ["a", "b", "c", "d", "e"],'
+            ' "cover": [["a", "e"], ["b", "c"], ["c", "b"], ["d", "e"], ["e", "d"]]}',
+            "the covers form a cycle: e -> d -> e",
+        ),
+        (
+            # a hangs below a cycle whose least member, c, is larger than it
+            '{"elements": ["a", "b", "c", "d"],'
+            ' "cover": [["a", "d"], ["c", "d"], ["d", "c"]]}',
+            "the covers form a cycle: d -> c -> d",
+        ),
         (
             '{"elements": ["a", "b", "c"], "cover": [["a", "b"], ["a", "c"]]}',
             "element 'a' has more than one cover",
@@ -852,6 +871,44 @@ def test_cli_on_inner_joins_at_the_cap_within_memory_and_time_budget(
     # the file took 58 MB, and each command 3.5-4.0 s and 642 MB; written
     # as covers, about 0.4 s and 20 MB on a 2-vCPU machine.
     argv = [*command, inner_joins_at_the_cap]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
+    assert code == "0"
+    assert float(elapsed) < 2.0
+    assert int(peak_kib) < 200 * 1024
+
+
+@pytest.fixture(scope="module")
+def pair_forms_at_the_text_cap(tmp_path_factory):
+    """Files holding the pair form of gen --n 760 and --n 800 --seed 1
+    --probe-bias 0 --join-mix 1, of 7 999 047 and 8 868 047 characters: on
+    either side of load_burling_json's cap of 8 MiB."""
+    folder = tmp_path_factory.mktemp("text-cap")
+    paths = []
+    for n in (760, 800):
+        cfg = GeneratorConfig(seed=1, target_size=n, probe_bias=0, join_mix=1)
+        path = folder / f"pairs-{n}.json"
+        path.write_text(_pair_form(gen_burling(cfg)))
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_refuses_a_set_file_over_the_text_cap(run_child, pair_forms_at_the_text_cap):
+    # A pair-form file at the generator's cap took 3.5-4.0 s and 642 MB to
+    # check; one just over 8 MiB is refused before it is parsed.
+    argv = ["verify", "set", pair_forms_at_the_text_cap[1]]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
+    assert code == "2"
+    assert float(elapsed) < 1.0
+    assert int(peak_kib) < 60 * 1024
+
+
+@pytest.mark.parametrize("command", [("verify", "set"), ("frames",)])
+def test_cli_on_a_pair_form_below_the_text_cap_within_memory_and_time_budget(
+    run_child, pair_forms_at_the_text_cap, command
+):
+    # The largest pair-form file of the all-inner-joins family under the
+    # cap: about 0.7 s and 100 MB on a 2-vCPU machine.
+    argv = [*command, pair_forms_at_the_text_cap[0]]
     (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
     assert code == "0"
     assert float(elapsed) < 2.0
