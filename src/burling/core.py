@@ -19,34 +19,32 @@ own: a shortest cycle has no prec pair, which the pair before it would
 shortcut by transitivity or adj-extends-upward, so it is an adj cycle.
 
 verify_axioms checks prec pair by pair only where it must.  Taking elements
-by ascending number of prec-targets, the relation index (_cover) calls x
-settled, once per set, when its targets are none, or exactly p and p's
-targets for a settled target p with the most targets, which it tests by p
-having one target fewer than x, all of them x's.  By induction on that
-number, the targets of a settled x form a prec-chain that is closed under
-prec and does not hold x: p precedes each of its own targets, which form
-such a chain, and x is neither p, settled before it, nor one of p's
-targets, whose targets would all be p's, fewer than x's.  So no pair (x, y)
-with x settled can break irreflexivity or transitivity, and prec-out-chain
-holds at x.  On a valid set every element is settled, its targets being its
-cover p and p's targets.  When every element is settled, prec is the
-ancestor relation of the cover forest, so verify_axioms checks only the adj
-axioms, on the forest's DFS spans and the index's one Kahn sort, and
-_forest orders the set by its covers.
+by ascending number of prec-targets, _settle calls x settled when its
+targets are none, or exactly p and p's targets for a settled target p with
+the most targets, which it tests by p having one target fewer than x, all
+of them x's.  By induction on that number, the targets of a settled x form
+a prec-chain that is closed under prec and does not hold x: p precedes
+each of its own targets, which form such a chain, and x is neither p,
+settled before it, nor one of p's targets, whose targets would all be p's,
+fewer than x's.  So no pair (x, y) with x settled can break irreflexivity
+or transitivity, and prec-out-chain holds at x.  On a valid set every
+element is settled, its targets being its cover p and p's targets.
 
-A set holds prec in one of two ways.  BurlingSet(...) keeps the pairs it is
-given, and load_burling_json the out-map of a file's pairs, so that
-verify_axioms can report whatever is wrong with them.  gen_burling,
-extract_burling, recognize, and load_burling_json on a file of covers hold
-prec by its cover forest, each element's cover or None.  Two sets whose
-elements are all settled compare by covers and adj: prec is then the
-covers' ancestor relation, and a forest's ancestor relation fixes its
-covers.  The index lays the forest out once, by DFS spans in topological
-order (_spans); prec's pairs, built from the out-map or the forest on first
-read, are read only by verify_axioms on a set with an element that is not
-settled, dump_burling_json on such a set, chordal_relation,
-classify_elements, restrict, the joins, and the equality of sets with an
-element that is not settled.
+A set is held by its covers exactly when every element is settled: it then
+keeps prec as its cover forest, each element's cover or None, whose
+ancestor relation prec is, and no pair.  gen_burling, extract_burling,
+recognize and load_burling_json on a file of covers build such sets from
+covers (_from_covers).  BurlingSet(...) and load_burling_json on a file of
+pairs hand their pairs to _hold, which settles them once and keeps only the
+covers when every element is settled, and otherwise the pairs, their
+out-map and the covers of the settled elements, from which verify_axioms
+reports whatever is wrong.  On a set held by its covers, verify_axioms
+checks only the adj axioms, on the forest's DFS spans and the index's one
+Kahn sort, and _forest orders the set by its covers; two such sets compare
+by covers and adj, since a forest's ancestor relation fixes its covers.
+The index lays the forest out once, by DFS spans in topological order
+(_spans).  prec's pairs are built from the forest on first read, and read
+only by chordal_relation, classify_elements, restrict and the joins.
 
 The undirected graph with an edge for every adj pair is the Burling graph of
 the set.  Roots, probes, and exposed elements single out where the structure
@@ -77,42 +75,25 @@ class BurlingSet:
     elements non-empty and mutually comparable); whether the axioms hold is
     the job of verify_axioms.  Element ids may be any sortable hashable
     values; integers internally, strings at file boundaries.  A set is held
-    by its pairs or by its covers (see the module docstring); two sets are
-    equal when their elements, prec and adj are, which is read off their
-    covers when every element of both is settled.
+    by its covers exactly when every element is settled, else by its pairs
+    (see the module docstring); two sets are equal when their elements,
+    prec and adj are, which is read off their covers when both are held by
+    them.
     """
 
     elements: frozenset
     adj: frozenset
-    _by_covers = False
 
     def __init__(self, elements, prec=(), adj=()):
         elements = frozenset(elements)
         if not elements:
             raise InputError("a Burling set needs at least one element")
         try:
-            order = tuple(sorted(elements))
+            order = sorted(elements)
         except TypeError:
             raise InputError("element ids must be mutually comparable") from None
         prec = _relation(prec, elements, "prec")
-        adj = _relation(adj, elements, "adj")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_order", order)
-
-    @classmethod
-    def _from_pairs(cls, elements, prec, adj) -> BurlingSet:
-        """The set held by its pairs, which load_burling_json checks as the
-        constructor would: elements a non-empty set of strings, prec and adj
-        iterables of pairs of them.  prec is kept as its out-map, filled here
-        in one pass, and adj as a frozenset of tuples."""
-        b = cls.__new__(cls)
-        vars(b).update(
-            elements=elements, adj=frozenset(map(tuple, adj)),
-            _order=tuple(sorted(elements)), _out_prec=_maps(elements, prec),
-        )
-        return b
+        _hold(order, _relation(adj, elements, "adj"), prec, b=self)
 
     @classmethod
     def _from_covers(cls, order, cover, adj) -> BurlingSet:
@@ -122,12 +103,7 @@ class BurlingSet:
         Nothing is checked: the library's own constructions call it, and
         load_burling_json once it has checked that the covers form a
         forest on declared names."""
-        b = cls.__new__(cls)
-        vars(b).update(
-            elements=frozenset(order), adj=frozenset(adj), _order=tuple(order),
-            _cover=cover, _by_covers=True,
-        )
-        return b
+        return _hold(order, adj, cover=cover)
 
     def ordered(self) -> list:
         """Element ids sorted ascending; the canonical iteration order."""
@@ -135,11 +111,8 @@ class BurlingSet:
 
     @cached_property
     def prec(self) -> frozenset:
-        """The prec pairs.  The constructor sets them; a set loaded from JSON
-        builds them from its out-map, and one held by its covers from the
-        forest, on first read."""
-        if not self._by_covers:
-            return frozenset((x, y) for x, ys in self._out_prec.items() for y in ys)
+        """The prec pairs.  A set held by its covers builds them from the
+        forest on first read; any other keeps them from construction."""
         above = {}
         for x in self._spans:
             c = self._cover[x]
@@ -151,12 +124,9 @@ class BurlingSet:
             return NotImplemented
         if self.elements != other.elements or self.adj != other.adj:
             return False
-        # Which elements are settled depends on prec alone.
-        cover = self._cover
-        if len(cover) != len(other._cover):
-            return False
-        if len(cover) == len(self._order):
-            return cover == other._cover
+        if self._by_covers or other._by_covers:
+            # which elements are settled depends on prec alone
+            return self._by_covers == other._by_covers and self._cover == other._cover
         return self.prec == other.prec
 
     def __hash__(self) -> int:
@@ -166,54 +136,32 @@ class BurlingSet:
         if self._by_covers:
             pairs = sum((leave - enter - 1) // 2 for enter, leave in self._spans.values())
         else:
-            pairs = sum(map(len, self._out_prec.values()))
+            pairs = len(self.prec)
         return (
             f"BurlingSet({len(self.elements)} elements, "
             f"{pairs} prec, {len(self.adj)} adj)"
         )
 
-    # The relation index: _order, the sorted elements, which the constructor
-    # sets since sorting them is its check that ids compare, and structures
-    # derived from the relations, each built on first use and kept for the
-    # life of the immutable set.  The maps are out-maps, x -> {y : x R y}
-    # for R = prec and adj; callers must not modify the sets.  Only _forest
-    # assumes the axioms' consequences, and raises ContractError where they
-    # fail.
-
-    @cached_property
-    def _out_prec(self) -> dict:
-        return _maps(self.elements, self.prec)
+    # The relation index.  _hold sets _order, the sorted elements, _cover,
+    # x -> x's cover or None for each settled x, and _by_covers, whether
+    # every element is settled; a set not held by its covers also keeps
+    # _out_prec, prec's out-map x -> {y : x prec y}.  The structures below
+    # derive from these, each built on first use and kept for the life of
+    # the immutable set; callers must not modify the maps.  Only _forest
+    # assumes the axioms' consequences, and raises ContractError where
+    # they fail.
 
     @cached_property
     def _out_adj(self) -> dict:
         return _maps(self.elements, self.adj)
 
     @cached_property
-    def _cover(self) -> dict:
-        """x -> the cover of x, or None when x has no prec-target, for each
-        settled x (see the module docstring); other elements are absent.
-        The cover is x's prec-target with the most targets.  A set held by
-        its covers is given this map at construction."""
-        out_prec = self._out_prec
-        size = {x: len(out_prec[x]) for x in self._order}
-        cover = {}
-        for x in sorted(self._order, key=size.__getitem__):
-            ts = out_prec[x]
-            p = None
-            if ts:
-                p = max(ts, key=size.__getitem__)
-                if p not in cover or size[p] + 1 != size[x] or not out_prec[p] <= ts:
-                    continue
-            cover[x] = p
-        return cover
-
-    @cached_property
     def _spans(self) -> dict:
-        """The set's one layout of the cover forest, for a set whose
-        elements all have a cover entry: _dfs over _kahn's topo reversed,
-        or over the ids if topo is None.  Its keys reversed are a postorder
-        with siblings in topo's order, x's cone the (leave - enter - 1) // 2
-        keys before x, and on a Burling set a topological order (see mis).
+        """The set's one layout of the cover forest, for a set held by its
+        covers: _dfs over _kahn's topo reversed, or over the ids if topo is
+        None.  Its keys reversed are a postorder with siblings in topo's
+        order, x's cone the (leave - enter - 1) // 2 keys before x, and on a
+        Burling set a topological order (see mis).
         Raises ContractError if the covers form a cycle."""
         topo = self._kahn[1]
         spans = _dfs(self._order if topo is None else topo[::-1], self._cover)
@@ -223,10 +171,10 @@ class BurlingSet:
 
     @cached_property
     def _kahn(self) -> tuple:
-        """(succ, topo) for a set whose elements all have a cover entry:
-        succ maps x to its cover, if any, and its adj-targets, and topo is
-        Kahn's sort of succ (_topo_sort), None on a cycle.  verify_axioms,
-        _spans and _forest share it."""
+        """(succ, topo) for a set held by its covers: succ maps x to its
+        cover, if any, and its adj-targets, and topo is Kahn's sort of succ
+        (_topo_sort), None on a cycle.  verify_axioms, _spans and _forest
+        share it."""
         out_adj = self._out_adj
         succ = {x: out_adj[x] if c is None else (c, *out_adj[x]) for x, c in self._cover.items()}
         return succ, _topo_sort(self._order, succ)
@@ -237,7 +185,7 @@ class BurlingSet:
         prec ∪ adj, and the forests of prec ∪ adj and of prec, in which an
         element's parent is its first out-target in topo, None at a root.
 
-        Built from the covers, when every element is settled: x's targets
+        Built from the covers, when the set is held by them: x's targets
         are then its cover c and c's targets, so up is the cover map, and
         topo is Kahn's sort over the covers and adj pairs, whose ready
         elements depend only on reachability.  x's parent y is the first of
@@ -253,8 +201,7 @@ class BurlingSet:
         of x's adj-targets, being no prec-target of itself; so their first
         in topo is their least.  Any other set may raise a ContractError
         quoting its report's first line, the report computed only then."""
-        cover = self._cover
-        if len(cover) == len(self._order):
+        if self._by_covers:
             span = self._spans
             succ, topo = self._kahn
             pos = {x: i for i, x in enumerate(topo or ())}
@@ -265,7 +212,7 @@ class BurlingSet:
                 == len(ts) - 1
                 for x, ts in succ.items()
             ):
-                return topo, parent, cover
+                return topo, parent, self._cover
         raise ContractError("not a Burling set: " + verify_axioms(self).lines()[0])
 
 
@@ -274,6 +221,47 @@ def _maps(elements, pairs) -> dict:
     for x, y in pairs:
         out[x].add(y)
     return out
+
+
+def _settle(order, out_prec) -> dict:
+    """x -> the cover of x, or None when x has no prec-target, for each
+    settled x among the elements of order, by prec's out-map (see the module
+    docstring); other elements are absent.  The cover is x's prec-target
+    with the most targets."""
+    size = {x: len(out_prec[x]) for x in order}
+    cover = {}
+    for x in sorted(order, key=size.__getitem__):
+        ts = out_prec[x]
+        p = None
+        if ts:
+            p = max(ts, key=size.__getitem__)
+            if p not in cover or size[p] + 1 != size[x] or not out_prec[p] <= ts:
+                continue
+        cover[x] = p
+    return cover
+
+
+def _hold(order, adj, prec=None, cover=None, b=None) -> BurlingSet:
+    """The set on the elements of order, which lists them in ascending
+    order, with the pairs adj and prec given either as pairs of elements or
+    by cover, x -> x's cover or None for every element; b, when given, is
+    the new set to fill in.  Nothing is checked.  This decides how a set
+    holds prec: pairs are settled once, on their out-map, and the set keeps
+    only the covers when every element is settled, as it keeps a given
+    cover, and otherwise the pairs, the out-map and the settled elements'
+    covers.  The constructor calls it after its checks, _from_covers, and
+    load_burling_json on a file of pairs after its bulk checks."""
+    b = BurlingSet.__new__(BurlingSet) if b is None else b
+    if cover is None:
+        out_prec = _maps(order, prec)
+        cover = _settle(order, out_prec)
+        if len(cover) < len(order):
+            vars(b).update(prec=frozenset(map(tuple, prec)), _out_prec=out_prec)
+    vars(b).update(
+        elements=frozenset(order), adj=frozenset(map(tuple, adj)), _order=tuple(order),
+        _cover=cover, _by_covers=len(cover) == len(order),
+    )
+    return b
 
 
 def _topo_sort(nodes, succ):
@@ -459,7 +447,7 @@ def verify_axioms(b: BurlingSet) -> VerificationReport:
     checked and then solved or framed.
     """
     elems, out_adj, settled = b._order, b._out_adj, b._cover
-    if len(settled) < len(elems):
+    if not b._by_covers:
         return _pairwise_report(b)
     span = b._spans
     size = {x: (leave - enter - 1) // 2 for x, (enter, leave) in span.items()}

@@ -12,14 +12,18 @@ cover c, x's prec-target with the most prec-targets, so that prec is the
 ancestor relation of the covers.  The pair form, {"elements", "prec",
 "adj"}, lists every prec pair [a, b].  A document has at most one of
 "cover" and "prec", and names are strings (integers are accepted and
-converted).  dump_burling_json writes the cover form whenever every element
-is settled (see core), as in every valid set, and the pair form otherwise,
-since covers cannot state that set's prec.  Dumps are deterministic: sorted
-names, sorted pairs, fixed key order.  A text over 8 MiB (_MAX_SET_TEXT
-characters) is refused unparsed; a valid set's dump at the generator's cap
-is under 150 kB.
+converted).  Whichever form it is read from, a set is held by its covers
+exactly when every element is settled (see core), as in every valid set.
+dump_burling_json writes the cover form for such a set and the pair form
+otherwise, since covers cannot state that set's prec.  Dumps are
+deterministic: sorted names, sorted pairs, fixed key order.  A text over
+8 MiB (_MAX_SET_TEXT characters) is refused unparsed; a valid set's dump at
+the generator's cap is under 150 kB.
 
-Frames JSON: a list of {"id", "l", "r", "b", "t"} objects.
+Frames JSON: a list of {"id", "l", "r", "b", "t"} objects.  A text over
+384 KiB (_MAX_FRAMES_TEXT characters) is refused unparsed: a column of
+frames stacked in y, the sweep's worst known family, fills it with 5 340
+frames, and the frames of a set at the generator's cap take under 150 kB.
 
 Weights: one line per element, "name weight", nonnegative integers.
 """
@@ -30,13 +34,25 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import BurlingSet, _relation
+from .core import BurlingSet, _hold, _relation
 from .errors import InputError
 from .frames import Frame, FrameFamily
 from .graph import Graph
 
 _MAX_VERTICES = 100_000
 _MAX_SET_TEXT = 8 * 2**20
+_MAX_FRAMES_TEXT = 3 * 2**17
+
+
+def _parse(text: str, limit: int):
+    """The JSON document in text, refused unparsed when text is longer than
+    limit characters."""
+    if len(text) > limit:
+        raise InputError(f"text of {len(text)} characters exceeds the limit of {limit}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"invalid JSON: {e}")
 
 
 def _data_lines(text: str):
@@ -141,7 +157,7 @@ def _cover_set(order: list, pairs, adj) -> BurlingSet:
         if walk[y] == x:
             path = list(walk)
             raise InputError("the covers form a cycle: " + " -> ".join(path[path.index(y):] + [y]))
-    return BurlingSet._from_covers(order, cover, map(tuple, adj))
+    return BurlingSet._from_covers(order, cover, adj)
 
 
 def load_burling_json(text: str) -> BurlingSet:
@@ -150,14 +166,9 @@ def load_burling_json(text: str) -> BurlingSet:
 
     Each list is checked in one bulk pass against the declared names.  A
     set given by covers is held by them once they are checked to form a
-    forest, so that prec is valid by construction; one given by pairs keeps
-    prec as its out-map."""
-    if len(text) > _MAX_SET_TEXT:
-        raise InputError(f"text of {len(text)} characters exceeds the limit of {_MAX_SET_TEXT}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}")
+    forest, so that prec is valid by construction; one given by pairs is
+    held as the constructor would hold it (core._hold)."""
+    doc = _parse(text, _MAX_SET_TEXT)
     if not isinstance(doc, dict) or "elements" not in doc:
         raise InputError("expected an object with an 'elements' list")
     raw_elements = doc["elements"]
@@ -179,7 +190,7 @@ def load_burling_json(text: str) -> BurlingSet:
         return _cover_set(sorted(elements), cover, adj)
     prec = _named_pairs(doc.get("prec", []), "prec", elements)
     adj = _named_pairs(doc.get("adj", []), "adj", elements)
-    return BurlingSet._from_pairs(elements, prec, adj)
+    return _hold(sorted(elements), adj, prec)
 
 
 def _array(items: list, depth: int) -> str:
@@ -220,20 +231,17 @@ def dump_burling_json(b: BurlingSet) -> str:
     The text is json.dumps(doc, indent=1) of the document, written out
     directly: most of a dump is its pairs, and the encoder would lay out
     each one in Python."""
-    cover = b._cover
-    if len(cover) < len(b.elements):
+    if not b._by_covers:
         return _pair_form(b)
-    return _dump(b, "cover", ((x, c) for x, c in cover.items() if c is not None))
+    return _dump(b, "cover", ((x, c) for x, c in b._cover.items() if c is not None))
 
 
 def frame_records(text: str) -> list:
     """Structural parse of frames JSON into (id, l, r, b, t) tuples.
     Coordinate types and geometric validity are left to the Frame
-    constructor."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}")
+    constructor.  A text over _MAX_FRAMES_TEXT characters is refused
+    unparsed."""
+    doc = _parse(text, _MAX_FRAMES_TEXT)
     if not isinstance(doc, list):
         raise InputError("expected a list of frame objects")
     records = []

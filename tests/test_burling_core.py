@@ -17,11 +17,13 @@ from burling import (
     build_frames,
     classify_elements,
     dump_burling_json,
+    extract_burling,
     gen_burling,
     induced_graph,
     inner_join,
     load_burling_json,
     outer_join,
+    recognize,
     restrict,
     verify_axioms,
 )
@@ -34,6 +36,7 @@ from burling.core import (
     _topo_sort,
 )
 from burling.errors import ContractError, InputError
+from burling.io import _pair_form
 
 
 def fig3():
@@ -341,11 +344,115 @@ def test_equality_agrees_with_prec_pairs():
     assert seen[False, False, False] > 500, seen
 
 
+def _covers_if_settled(b):
+    """prec's covers read off its pairs, {x: x's cover or None}, when every
+    element is settled, else None.  That is when no element is its own
+    prec-target and each one with targets has a target p whose targets
+    are the others: by induction on the number of targets, p is then
+    settled and has the most targets."""
+    above = {x: set() for x in b.elements}
+    for x, y in b.prec:
+        above[x].add(y)
+    cover = {}
+    for x, ys in above.items():
+        tops = [p for p in ys if ys == {p} | above[p]]
+        if x in ys or ys and not tops:
+            return None
+        cover[x] = tops[0] if ys else None
+    return cover
+
+
+def _made_every_way(rng):
+    """(how, set) for sets made by every constructor of the library: the
+    generator, extraction, recognition, restriction, both joins, the
+    constructor and both file forms, on generated sets and on variants
+    with one prec or adj pair added or removed, not all settled."""
+    for seed in range(40):
+        cfg = GeneratorConfig(seed, rng.randrange(2, 40), rng.choice((0.3, 0.5)), 0.8)
+        b = gen_burling(cfg)
+        for built in (b, *itertools.islice(_reference_cases(random.Random(seed)), 1, 5)):
+            yield "gen_burling" if built is b else "BurlingSet", built
+            yield "pair form", load_burling_json(_pair_form(built))
+            yield "cover form", load_burling_json(dump_burling_json(built))
+            part = rng.sample(built.ordered(), rng.randint(1, len(built.elements)))
+            yield "restrict", restrict(built, part)
+            fresh = len(built.elements)
+            q = min(classify_elements(built).roots, default=None)
+            if q is not None:
+                yield "outer_join", outer_join(built, BurlingSet({q, fresh}, (), {(q, fresh)}), q)
+            probes = classify_elements(built).probes
+            if probes:
+                piece = BurlingSet(probes | {fresh}, (), {(p, fresh) for p in probes})
+                yield "inner_join", inner_join(built, piece, {fresh})
+        yield "extract_burling", extract_burling(build_frames(b))
+        yield "recognize", recognize(induced_graph(b))
+
+
+def test_sets_are_held_by_covers_exactly_when_every_element_is_settled():
+    # However a set is made, it keeps only its covers when every element
+    # is settled, and otherwise its pairs, their out-map and the covers of
+    # the settled elements.  Counted by (how, held by covers).
+    seen = Counter()
+    for how, b in _made_every_way(random.Random(71)):
+        kept = {"prec", "_out_prec"} & set(vars(b))  # before prec is read
+        cover = _covers_if_settled(b)
+        assert b._by_covers == (cover is not None) == (len(b._cover) == len(b._order)), (how, b)
+        if b._by_covers:
+            assert b._cover == cover and not kept, (how, b)
+        else:
+            assert kept == {"prec", "_out_prec"}, (how, b)
+        seen[how, b._by_covers] += 1
+    for how in ("gen_burling", "extract_burling", "recognize"):
+        assert seen[how, True] == 40 and not seen[how, False], seen
+    for how in ("BurlingSet", "pair form", "cover form", "restrict", "outer_join", "inner_join"):
+        assert seen[how, True] > 100 and seen[how, False] > 10, seen
+
+
+def test_a_valid_pair_form_file_keeps_only_its_covers():
+    b = gen_burling(GeneratorConfig(seed=5, target_size=60, probe_bias=0.3, join_mix=0.8))
+    loaded = load_burling_json(_pair_form(b))
+    assert loaded._by_covers and not {"prec", "_out_prec"} & set(vars(loaded))
+    assert loaded == load_burling_json(dump_burling_json(b))
+    assert verify_axioms(loaded).ok
+
+
+def test_reports_do_not_depend_on_how_a_set_is_made():
+    # verify_axioms reads a set held by its covers off the forest and any
+    # other set pair by pair; either way the lines are the same for the
+    # set built from its pairs, read from either file form, or, when every
+    # element is settled, built from its covers.
+    ways = Counter()
+    rng = random.Random(73)
+    for seed in range(120):
+        cfg = GeneratorConfig(seed, rng.randrange(1, 40), rng.choice((0.0, 0.3, 0.5)), 0.8)
+        b = gen_burling(cfg)
+        rels = {"prec": b.prec, "adj": b.adj}
+        variants = [b]
+        for name, pairs in rels.items():
+            if pairs:
+                variants.append(BurlingSet(b.elements, **{**rels, name: pairs - {min(pairs)}}))
+            new = (rng.choice(b.ordered()), rng.choice(b.ordered()))
+            variants.append(BurlingSet(b.elements, **{**rels, name: pairs | {new}}))
+        for v in variants:
+            named = BurlingSet(
+                map(str, v.elements),
+                [(str(x), str(y)) for x, y in v.prec],
+                [(str(x), str(y)) for x, y in v.adj],
+            )
+            made = [named, load_burling_json(_pair_form(v)), load_burling_json(dump_burling_json(v))]
+            if named._by_covers:
+                made.append(BurlingSet._from_covers(named._order, named._cover, named.adj))
+            lines = {tuple(verify_axioms(m).lines()) for m in made}
+            assert len(lines) == 1, (cfg, v, lines)
+            ways[len(made), lines == {("OK",)}] += 1
+    assert ways[4, True] > 100 and ways[4, False] > 100 and ways[3, False] > 50, ways
+
+
 def _closure_forest(b):
     """The reference for _forest, built on prec's closure: Kahn's sort over
     prec ∪ adj, then each relation's chordality check and the cover forest
     check."""
-    out_prec, out_adj = b._out_prec, b._out_adj
+    out_prec, out_adj = core._maps(b._order, b.prec), b._out_adj
     out = {x: out_prec[x] | out_adj[x] for x in b._order}
     topo = _topo_sort(b._order, out)
     if topo is None:
@@ -483,7 +590,7 @@ def test_spans_lay_out_the_forest_in_topological_postorder():
     assert b._kahn[1] is None
     assert b._spans == {"c": (1, 6), "a": (2, 3), "b": (4, 5), "d": (7, 10), "e": (8, 9)}
     lines = ["adj-acyclic: a, b", "adj-extends-upward: d, a, c", "adj-target-enclosed: e, c, d"]
-    assert verify_axioms(b).lines() == core._pairwise_report(b).lines() == lines
+    assert verify_axioms(b).lines() == _per_pair_report(b).lines() == lines
 
 
 def test_report_lines_name_witnesses():

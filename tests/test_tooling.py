@@ -31,6 +31,7 @@ from burling import (
     dump_frames_json,
     exhaustive_recognize,
     extract_burling,
+    frame_records,
     gen_burling,
     induced_graph,
     is_triangle_free,
@@ -608,6 +609,18 @@ def test_frames_json_rejections():
             load_frames_json(doc)
 
 
+def test_frames_json_text_cap():
+    # 384 KiB of text is parsed, and one character more refused unread,
+    # by both readers of frames JSON
+    for read in (load_frames_json, frame_records):
+        for text, message in (
+            (" " * 393216, "invalid JSON: Expecting value: line 1 column 393217 (char 393216)"),
+            (" " * 393217, "text of 393217 characters exceeds the limit of 393216"),
+        ):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                read(text)
+
+
 # -------------------------------------------------------------------- weights
 
 
@@ -913,6 +926,72 @@ def test_cli_on_a_pair_form_below_the_text_cap_within_memory_and_time_budget(
     assert code == "0"
     assert float(elapsed) < 2.0
     assert int(peak_kib) < 200 * 1024
+
+
+@pytest.fixture(scope="module")
+def frames_at_the_cap(set_at_the_cap, inner_joins_at_the_cap, tmp_path_factory):
+    """Files holding what frames prints for the two sets at the generator's
+    cap above, 144 678 bytes each."""
+    folder = tmp_path_factory.mktemp("frames-cap")
+    paths = []
+    for setfile in (set_at_the_cap, inner_joins_at_the_cap):
+        path = folder / Path(setfile).name
+        b = load_burling_json(Path(setfile).read_text())
+        path.write_text(dump_frames_json(build_frames(b)))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_cli_verify_frames_at_the_generator_cap_within_memory_and_time_budget(
+    run_child, frames_at_the_cap, which
+):
+    # About 0.1-0.3 s and 20 MB on a 2-vCPU machine.
+    argv = ["verify", "frames", frames_at_the_cap[which]]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
+    assert code == "0"
+    assert float(elapsed) < 2.0
+    assert int(peak_kib) < 200 * 1024
+
+
+def _column(n: int) -> str:
+    """Frames JSON of n frames stacked in y, Frame(i, i, n + i, 2i, 2i + 1):
+    no two meet, yet every two overlap in x, so the sweep visits every
+    pair."""
+    return dump_frames_json(FrameFamily(Frame(i, i, n + i, 2 * i, 2 * i + 1) for i in range(n)))
+
+
+@pytest.fixture(scope="module")
+def columns_at_the_frames_cap(tmp_path_factory):
+    """Files holding the columns of 5 340 and 5 341 frames, of 393 192 and
+    393 270 characters: on either side of the frames text cap, 393 216."""
+    folder = tmp_path_factory.mktemp("frames-text-cap")
+    paths = []
+    for n in (5340, 5341):
+        path = folder / f"column-{n}.json"
+        path.write_text(_column(n))
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_verify_frames_at_the_frames_text_cap_within_memory_and_time_budget(
+    run_child, columns_at_the_frames_cap
+):
+    # The largest column under the cap takes about 0.6-0.9 s and 21 MB on a
+    # 2-vCPU machine (10 000 frames took 2.2 s); one frame more is refused
+    # before it is parsed.
+    below, over = (Path(p).read_text() for p in columns_at_the_frames_cap)
+    assert len(below) <= 393216 < len(over)
+    argv = ["verify", "frames", columns_at_the_frames_cap[0]]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
+    assert code == "0"
+    assert float(elapsed) < 2.0
+    assert int(peak_kib) < 200 * 1024
+    argv = ["verify", "frames", columns_at_the_frames_cap[1]]
+    (code, elapsed, peak_kib), _ = run_child(_CLI_CHILD.format(argv=argv))
+    assert code == "2"
+    assert float(elapsed) < 1.0
+    assert int(peak_kib) < 60 * 1024
 
 
 def test_cli_svg(tmp_path, capsys):
